@@ -84,15 +84,23 @@ inline void set_artefact_dir(const std::string& dir) {
 }
 
 /// Resolves one output file name against the configured --out directory,
-/// creating the directory on first use.
+/// creating the directory on first use. An absolute path is kept as is.
 inline std::string artefact_path(const std::string& name) {
   const std::string& dir = artefact_dir();
-  if (dir.empty()) return name;
+  if (dir.empty() || std::filesystem::path(name).is_absolute()) return name;
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   require(!ec, "bench: cannot create output directory '" + dir + "': " +
                    ec.message());
   return dir + "/" + name;
+}
+
+/// Where `--json [path]` writes: an explicit path exactly as given
+/// (relative to the invoking directory), else BENCH_parallel.json in the
+/// --out directory.
+inline std::string json_output_path(const std::string& explicit_path) {
+  return explicit_path.empty() ? artefact_path("BENCH_parallel.json")
+                               : explicit_path;
 }
 
 /// Handles the common `--out <dir>` / `--out=<dir>` flag for the bench

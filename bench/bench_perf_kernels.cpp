@@ -6,6 +6,7 @@
 // scaling document (BENCH_parallel.json, see bench_common.h).
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <string_view>
 
 #include "assign/dfa.h"
@@ -40,21 +41,44 @@ void BM_RandomAssign(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomAssign)->DenseRange(0, 4);
 
-void BM_Ifa(benchmark::State& state) {
-  const Package& package = circuit(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(IfaAssigner().assign(package));
+/// Table-1 circuit `arg` for arg 0-4; otherwise circuit 5's geometry with
+/// 4 rows per quadrant scaled to `arg` fingers (the plan_large packages).
+const Package& assign_circuit(int arg) {
+  if (arg < 5) return circuit(arg);
+  static std::map<int, Package> large;
+  auto it = large.find(arg);
+  if (it == large.end()) {
+    CircuitSpec spec = CircuitGenerator::table1(4);
+    spec.finger_count = arg;
+    spec.rows_per_quadrant = 4;
+    spec.tier_count = 2;
+    it = large.emplace(arg, CircuitGenerator::generate(spec)).first;
   }
+  return it->second;
 }
-BENCHMARK(BM_Ifa)->DenseRange(0, 4);
 
-void BM_Dfa(benchmark::State& state) {
-  const Package& package = circuit(static_cast<int>(state.range(0)));
+/// items_per_second of the assigner rows is fingers per second, so the
+/// rows at alpha 1536-6144 show how the cost per finger scales.
+template <typename AssignerT>
+void BM_Assigner(benchmark::State& state) {
+  const Package& package = assign_circuit(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(DfaAssigner().assign(package));
+    benchmark::DoNotOptimize(AssignerT().assign(package));
   }
+  state.SetItemsProcessed(state.iterations() * package.finger_count());
 }
-BENCHMARK(BM_Dfa)->DenseRange(0, 4);
+BENCHMARK(BM_Assigner<IfaAssigner>)
+    ->Name("BM_Ifa")
+    ->DenseRange(0, 4)
+    ->Arg(1536)
+    ->Arg(3072)
+    ->Arg(6144);
+BENCHMARK(BM_Assigner<DfaAssigner>)
+    ->Name("BM_Dfa")
+    ->DenseRange(0, 4)
+    ->Arg(1536)
+    ->Arg(3072)
+    ->Arg(6144);
 
 void BM_DensityMap(benchmark::State& state) {
   const Package& package = circuit(static_cast<int>(state.range(0)));
@@ -161,12 +185,13 @@ BENCHMARK(BM_FullFlow)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 
 /// BENCHMARK_MAIN with three extra flags: `--json [path]` runs the shared
 /// parallel-scaling sweep after the registered benchmarks and writes the
-/// fpkit.bench.parallel.v1 document (default BENCH_parallel.json),
+/// fpkit.bench.parallel.v1 document (at `path` as given, else
+/// BENCH_parallel.json in the `--out <dir>` directory), and
 /// `--artifact-dir <dir>` additionally records the sweep as an
-/// fpkit.run.v1 artifact for `fpkit compare`, and `--out <dir>` redirects
-/// the JSON document. Every other flag is forwarded to google-benchmark
-/// untouched.
+/// fpkit.run.v1 artifact for `fpkit compare`. Every other flag is
+/// forwarded to google-benchmark untouched.
 int main(int argc, char** argv) {
+  bool json = false;
   std::string json_path;
   std::string artifact_dir;
   std::vector<char*> forwarded;
@@ -174,11 +199,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--json") {
-      json_path = "BENCH_parallel.json";
+      json = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') json_path = argv[++i];
     } else if (arg.rfind("--json=", 0) == 0) {
+      json = true;
       json_path = std::string(arg.substr(7));
-      if (json_path.empty()) json_path = "BENCH_parallel.json";
     } else if (arg == "--artifact-dir" && i + 1 < argc) {
       artifact_dir = argv[++i];
     } else if (arg.rfind("--artifact-dir=", 0) == 0) {
@@ -199,10 +224,10 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (!json_path.empty() || !artifact_dir.empty()) {
+  if (json || !artifact_dir.empty()) {
     fp::bench::emit_parallel_results(
-        json_path.empty() ? "" : fp::bench::artefact_path(json_path),
-        artifact_dir, "bench_perf_kernels");
+        json ? fp::bench::json_output_path(json_path) : "", artifact_dir,
+        "bench_perf_kernels");
   }
   return 0;
 }

@@ -1,8 +1,8 @@
 // Complexity backing: the paper states IFA is O(n^2) and DFA is O(n) per
 // insertion decision. This harness times the assigners and the density
 // estimator over growing package sizes and prints the growth factors so
-// the claims can be eyeballed (per-decision work: DFA's slot walk makes
-// the full run O(n * alpha); both finish in microseconds at any realistic
+// the claims can be eyeballed (fpkit's IFA is O(n) and its DFA
+// O(alpha log alpha); both finish in microseconds at any realistic
 // package size).
 #include <cstdio>
 
@@ -40,8 +40,7 @@ int main(int argc, char** argv) {
   if (args.has("json") || !artifact_dir.empty()) {
     const std::string json_path =
         args.has("json")
-            ? bench::artefact_path(
-                  args.get_string("json", "BENCH_parallel.json"))
+            ? bench::json_output_path(args.get_string("json", ""))
             : "";
     bench::emit_parallel_results(json_path, artifact_dir, "bench_scaling");
     return 0;

@@ -26,8 +26,9 @@
 // diagonal cut-lines; >= 2 reserves margin by treating the outermost
 // segments of neighbouring triangles as one.
 //
-// Complexity: O(n) insertion decisions as the paper states (the slot scan
-// makes this implementation O(n * alpha), trivially fast at package sizes).
+// Complexity: O(n) insertion decisions as the paper states; each finds its
+// slot in O(log alpha) through a Fenwick tree over free-slot words, so this
+// implementation is O(alpha log alpha) per quadrant.
 #pragma once
 
 #include "assign/assigner.h"

@@ -1,39 +1,48 @@
 #include "assign/ifa.h"
 
-#include <algorithm>
-#include <list>
-
 namespace fp {
 
 QuadrantAssignment IfaAssigner::assign(const Quadrant& quadrant) const {
-  // std::list keeps the frequent mid-sequence insertions O(1) once the
-  // anchor iterator is found.
-  std::list<NetId> order;
+  // A doubly linked list over quadrant-local net indices makes finding an
+  // anchor and inserting before it O(1). Node n is the sentinel: next[n]
+  // is the head of the order, prev[n] its tail.
+  const auto n = static_cast<std::size_t>(quadrant.net_count());
+  std::vector<std::size_t> next(n + 1, n);
+  std::vector<std::size_t> prev(n + 1, n);
+  const auto node_of = [&](NetId net) {
+    return static_cast<std::size_t>(quadrant.local_index(net));
+  };
+  const auto insert_before = [&](std::size_t at, NetId net) {
+    const std::size_t node = node_of(net);
+    next[node] = at;
+    prev[node] = prev[at];
+    next[prev[at]] = node;
+    prev[at] = node;
+  };
 
   const int top = quadrant.top_row();
-  for (const NetId net : quadrant.row_nets(top)) order.push_back(net);
+  for (const NetId net : quadrant.row_nets(top)) insert_before(n, net);
 
   for (int r = top - 1; r >= 0; --r) {
     const auto& nets = quadrant.row_nets(r);
     const auto& above = quadrant.row_nets(r + 1);
-    const int m = static_cast<int>(nets.size());
-    for (int c = 0; c < m; ++c) {
-      const NetId net = nets[static_cast<std::size_t>(c)];
+    for (std::size_t c = 0; c < nets.size(); ++c) {
       if (c == 0) {
-        order.push_front(net);
-      } else if (c == m - 1 || c >= static_cast<int>(above.size())) {
-        order.push_back(net);
+        insert_before(next[n], nets[c]);
+      } else if (c == nets.size() - 1 || c >= above.size()) {
+        insert_before(n, nets[c]);
       } else {
-        const NetId anchor = above[static_cast<std::size_t>(c)];
-        const auto it = std::find(order.begin(), order.end(), anchor);
-        ensure(it != order.end(), "IFA: anchor net missing from order");
-        order.insert(it, net);
+        insert_before(node_of(above[c]), nets[c]);
       }
     }
   }
 
+  const std::vector<NetId> nets = quadrant.all_nets();
   QuadrantAssignment result;
-  result.order.assign(order.begin(), order.end());
+  result.order.reserve(n);
+  for (std::size_t node = next[n]; node != n; node = next[node]) {
+    result.order.push_back(nets[node]);
+  }
   return result;
 }
 

@@ -15,7 +15,8 @@
 // shorter than column c (possible on steep triangles), the net is appended,
 // preserving row order and therefore legality.
 //
-// Complexity O(n^2) in the quadrant net count, as the paper states.
+// The paper states O(n^2) in the quadrant net count; a linked list indexed
+// by quadrant-local net makes each anchor lookup O(1), so this is O(n).
 #pragma once
 
 #include "assign/assigner.h"

@@ -325,7 +325,7 @@ bool BatchResult::any_degraded() const {
 BatchResult run_flow_batch(const Package& package,
                            std::vector<BatchJob> jobs) {
   const Timer timer;
-  const obs::ScopedSpan span("flow.batch", "flow");
+  const obs::ScopedSpan batch_span("flow.batch", "flow");
   BatchResult batch;
   batch.jobs.resize(jobs.size());
   // Batch progress counts whole jobs (any order); the per-stage hooks

@@ -70,6 +70,7 @@ Child Child::spawn(const SpawnOptions& options) {
   if (pid == 0) {
     // Child side. Only exec from here on; any failure exits 127 so the
     // supervisor classifies it as a failed attempt rather than hanging.
+    ::setpgid(0, 0);  // own process group: kill() reaches its children too
     for (const std::string& name : options.unset_env) {
       ::unsetenv(name.c_str());
     }
@@ -81,6 +82,7 @@ Child Child::spawn(const SpawnOptions& options) {
     ::execv(argv[0], argv.data());
     _exit(127);
   }
+  ::setpgid(pid, pid);  // also here, so kill() never races the child's call
   Child child;
   child.pid_ = pid;
   return child;
@@ -139,7 +141,7 @@ ExitStatus Child::wait() {
 }
 
 void Child::kill(int signum) {
-  if (pid_ > 0 && !reaped_) ::kill(pid_, signum);
+  if (pid_ > 0 && !reaped_) ::killpg(pid_, signum);
 }
 
 std::string read_tail(const std::string& path, std::size_t max_bytes) {

@@ -12,7 +12,8 @@
 //   * the exit status distinguishes a normal exit from death by signal
 //     (a crashed worker must be classifiable as FP-CRASH), and
 //   * every child is reaped exactly once (no zombies across a
-//     thousand-job sweep).
+//     thousand-job sweep), and
+//   * killing a child kills its process group, leaving no orphans.
 //
 // POSIX-only, like the artifact layer's host block; the farm subcommand
 // is compiled out on other platforms.
@@ -74,7 +75,8 @@ class Child {
   /// Blocking reap; returns the final status.
   ExitStatus wait();
 
-  /// Sends `signum` (SIGTERM/SIGKILL) to the child; no-op once reaped.
+  /// Sends `signum` (SIGTERM/SIGKILL) to the child's process group --
+  /// the child and anything it spawned; no-op once reaped.
   void kill(int signum);
 
  private:

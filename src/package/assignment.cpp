@@ -15,11 +15,13 @@ int QuadrantAssignment::finger_of(NetId net) const {
 bool is_permutation_of(const QuadrantAssignment& assignment,
                        const Quadrant& quadrant) {
   if (assignment.size() != quadrant.net_count()) return false;
-  std::vector<NetId> a = assignment.order;
-  std::vector<NetId> b = quadrant.all_nets();
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  return a == b;
+  std::vector<char> seen(static_cast<std::size_t>(quadrant.net_count()), 0);
+  for (const NetId net : assignment.order) {
+    const int local = quadrant.local_index(net);
+    if (local < 0 || seen[static_cast<std::size_t>(local)]) return false;
+    seen[static_cast<std::size_t>(local)] = 1;
+  }
+  return true;
 }
 
 int PackageAssignment::total_fingers() const {

@@ -14,6 +14,7 @@ Quadrant::Quadrant(std::string name, PackageGeometry geometry,
   NetId max_net = std::numeric_limits<NetId>::min();
   for (const auto& row : rows_) {
     require(!row.empty(), "Quadrant: empty bump row");
+    row_start_.push_back(net_count_);
     for (const NetId net : row) {
       require(net >= 0, "Quadrant: negative net id");
       min_net = std::min(min_net, net);
@@ -72,6 +73,12 @@ int Quadrant::net_row(NetId net) const {
 int Quadrant::net_col(NetId net) const {
   require(contains(net), "Quadrant: net has no bump here");
   return bump_of_net_[static_cast<std::size_t>(net - min_net_)].x;
+}
+
+int Quadrant::local_index(NetId net) const {
+  if (!contains(net)) return -1;
+  const IPoint bump = bump_of_net_[static_cast<std::size_t>(net - min_net_)];
+  return row_start_[static_cast<std::size_t>(bump.y)] + bump.x;
 }
 
 Point Quadrant::bump_position(int row, int col) const {

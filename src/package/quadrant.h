@@ -69,6 +69,9 @@ class Quadrant {
   [[nodiscard]] int net_row(NetId net) const;
   /// Column of `net`'s bump; requires contains(net).
   [[nodiscard]] int net_col(NetId net) const;
+  /// Position of `net` in all_nets() order, in [0, net_count()); -1 when
+  /// the net has no bump here (any id, negative or huge, is safe).
+  [[nodiscard]] int local_index(NetId net) const;
 
   // --- coordinates -------------------------------------------------------
   [[nodiscard]] Point bump_position(int row, int col) const;
@@ -94,6 +97,7 @@ class Quadrant {
   // net -> (row, col); index net - min_net_ for dense storage.
   NetId min_net_ = 0;
   std::vector<IPoint> bump_of_net_;  // x=col, y=row; (-1,-1) when absent
+  std::vector<int> row_start_;       // local index of each row's first bump
 };
 
 }  // namespace fp

@@ -16,24 +16,20 @@ std::optional<LegalityViolation> find_violation(
   require(is_permutation_of(assignment, quadrant),
           "find_violation: assignment is not a permutation of the quadrant");
 
-  // Finger slot of each net, dense over this quadrant's id range.
-  NetId min_id = assignment.order.front();
-  NetId max_id = assignment.order.front();
-  for (const NetId net : assignment.order) {
-    min_id = std::min(min_id, net);
-    max_id = std::max(max_id, net);
-  }
-  std::vector<int> slot_of(static_cast<std::size_t>(max_id - min_id + 1), -1);
+  // Finger slot of each net, by quadrant-local index.
+  std::vector<int> slot_of(static_cast<std::size_t>(assignment.size()));
   for (int a = 0; a < assignment.size(); ++a) {
-    slot_of[static_cast<std::size_t>(
-        assignment.order[static_cast<std::size_t>(a)] - min_id)] = a;
+    slot_of[static_cast<std::size_t>(quadrant.local_index(
+        assignment.order[static_cast<std::size_t>(a)]))] = a;
   }
 
   for (int r = 0; r < quadrant.row_count(); ++r) {
     const auto& row = quadrant.row_nets(r);
     for (std::size_t c = 1; c < row.size(); ++c) {
-      const int left = slot_of[static_cast<std::size_t>(row[c - 1] - min_id)];
-      const int right = slot_of[static_cast<std::size_t>(row[c] - min_id)];
+      const int left = slot_of[static_cast<std::size_t>(
+          quadrant.local_index(row[c - 1]))];
+      const int right =
+          slot_of[static_cast<std::size_t>(quadrant.local_index(row[c]))];
       if (left >= right) {
         return LegalityViolation{r, static_cast<int>(c), row[c - 1], row[c]};
       }

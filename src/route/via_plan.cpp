@@ -62,18 +62,11 @@ QuadrantViaPlan ViaPlanner::plan(const Quadrant& quadrant,
     throw InvalidArgument("ViaPlanner: " + violation->to_string());
   }
 
-  // Finger slot lookup (dense over the quadrant's id range).
-  NetId min_id = assignment.order.front();
-  NetId max_id = assignment.order.front();
-  for (const NetId net : assignment.order) {
-    min_id = std::min(min_id, net);
-    max_id = std::max(max_id, net);
-  }
-  std::vector<int> finger_of(static_cast<std::size_t>(max_id - min_id + 1),
-                             -1);
+  // Finger slot of each net, by quadrant-local index.
+  std::vector<int> finger_of(static_cast<std::size_t>(assignment.size()));
   for (int a = 0; a < assignment.size(); ++a) {
-    finger_of[static_cast<std::size_t>(
-        assignment.order[static_cast<std::size_t>(a)] - min_id)] = a;
+    finger_of[static_cast<std::size_t>(quadrant.local_index(
+        assignment.order[static_cast<std::size_t>(a)]))] = a;
   }
 
   QuadrantViaPlan best_plan;
@@ -89,7 +82,7 @@ QuadrantViaPlan ViaPlanner::plan(const Quadrant& quadrant,
     term_fingers.reserve(static_cast<std::size_t>(m));
     for (const NetId net : quadrant.row_nets(r)) {
       term_fingers.push_back(
-          finger_of[static_cast<std::size_t>(net - min_id)]);
+          finger_of[static_cast<std::size_t>(quadrant.local_index(net))]);
     }
     std::vector<int> window_load(static_cast<std::size_t>(m) + 1, 0);
     for (int a = 0; a < assignment.size(); ++a) {

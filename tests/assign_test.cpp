@@ -4,6 +4,10 @@
 // implementations to reproduce them digit for digit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <list>
+#include <numeric>
 #include <set>
 
 #include "assign/dfa.h"
@@ -11,6 +15,7 @@
 #include "assign/random_assigner.h"
 #include "package/circuit_generator.h"
 #include "route/legality.h"
+#include "util/rng.h"
 
 namespace fp {
 namespace {
@@ -228,6 +233,154 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, StressShapes,
     ::testing::Combine(::testing::Values(8, 12, 25, 60, 112),
                        ::testing::Values(2, 3, 4)));
+
+// ------------------------------------------------------ reference oracles ----
+//
+// The straightforward forms of both assigners, kept here only as oracles:
+// DFA walks the free slots from the left for every net (O(n * alpha)), IFA
+// finds each anchor with a linear scan of a std::list (O(n^2)). The
+// production assigners must reproduce their orders exactly.
+
+std::vector<NetId> reference_dfa_order(const Quadrant& quadrant,
+                                       int cut_line_n) {
+  const int alpha = quadrant.finger_count();
+  std::vector<NetId> order(static_cast<std::size_t>(alpha), kInvalidNet);
+  std::vector<bool> taken(static_cast<std::size_t>(alpha), false);
+  int remaining = quadrant.net_count();
+  const int used_vias = quadrant.bumps_in_row(quadrant.top_row());
+  for (int r = quadrant.top_row(); r >= 0; --r) {
+    const int m = quadrant.bumps_in_row(r);
+    const double di = static_cast<double>(remaining - used_vias) /
+                      static_cast<double>(quadrant.via_slots_in_row(r) +
+                                          cut_line_n);
+    for (int x = 1; x <= m; ++x) {
+      int k = static_cast<int>(
+                  std::floor(static_cast<double>(x) * std::max(di, 0.0))) +
+              1;
+      const int free = alpha - (quadrant.net_count() - remaining);
+      k = std::clamp(k, 1, free - (m - x));
+      int slot = -1;
+      for (int a = 0; a < alpha; ++a) {
+        if (taken[static_cast<std::size_t>(a)]) continue;
+        if (--k == 0) {
+          slot = a;
+          break;
+        }
+      }
+      taken[static_cast<std::size_t>(slot)] = true;
+      order[static_cast<std::size_t>(slot)] = quadrant.bump_net(r, x - 1);
+      --remaining;
+    }
+  }
+  return order;
+}
+
+std::vector<NetId> reference_ifa_order(const Quadrant& quadrant) {
+  std::list<NetId> order;
+  const int top = quadrant.top_row();
+  for (const NetId net : quadrant.row_nets(top)) order.push_back(net);
+  for (int r = top - 1; r >= 0; --r) {
+    const auto& nets = quadrant.row_nets(r);
+    const auto& above = quadrant.row_nets(r + 1);
+    const int m = static_cast<int>(nets.size());
+    for (int c = 0; c < m; ++c) {
+      const NetId net = nets[static_cast<std::size_t>(c)];
+      if (c == 0) {
+        order.push_front(net);
+      } else if (c == m - 1 || c >= static_cast<int>(above.size())) {
+        order.push_back(net);
+      } else {
+        const NetId anchor = above[static_cast<std::size_t>(c)];
+        order.insert(std::find(order.begin(), order.end(), anchor), net);
+      }
+    }
+  }
+  return {order.begin(), order.end()};
+}
+
+struct OracleCase {
+  Quadrant quadrant;
+  int cut_line_n;
+};
+
+/// Seeded random quadrant: 1-6 rows that widen outward by a steep or a
+/// shallow step, alpha up to 6144, shuffled net ids from a random base.
+OracleCase random_oracle_case(int index) {
+  Rng rng(static_cast<std::uint64_t>(index) * 7919 + 17);
+  const int rows = 1 + index % 6;
+  const bool steep = (index / 6) % 2 == 1;
+  const int cut_line_n = 1 + (index / 12) % 4;
+  const int alpha =
+      index % 40 == 0
+          ? 6144
+          : std::max(rows, static_cast<int>(std::exp(rng.uniform(
+                               std::log(4.0), std::log(1536.0)))));
+  const int pairs = rows * (rows - 1) / 2;  // sum of (top_row - r)
+  const int top_width =
+      steep ? static_cast<int>(rng.uniform_int(1, 3))
+            : std::max(1, alpha / rows - static_cast<int>(rng.uniform_int(
+                                             0, 2)));
+  int step = pairs == 0 ? 0 : std::max(0, (alpha - rows * top_width) / pairs);
+  if (!steep) step = std::min(step, 2);
+  std::vector<int> widths(static_cast<std::size_t>(rows));
+  int total = 0;
+  for (int r = 0; r < rows; ++r) {
+    widths[static_cast<std::size_t>(r)] = top_width + step * (rows - 1 - r);
+    total += widths[static_cast<std::size_t>(r)];
+  }
+  // Balance to exactly alpha on the outermost row (never below one bump).
+  widths[0] = std::max(1, widths[0] + alpha - total);
+
+  std::vector<NetId> ids(static_cast<std::size_t>(
+      std::accumulate(widths.begin(), widths.end(), 0)));
+  std::iota(ids.begin(), ids.end(),
+            static_cast<NetId>(rng.uniform_int(0, 1000)));
+  std::shuffle(ids.begin(), ids.end(), rng);
+  std::vector<std::vector<NetId>> bump_rows;
+  auto next_id = ids.begin();
+  for (const int width : widths) {
+    bump_rows.emplace_back(next_id, next_id + width);
+    next_id += width;
+  }
+  return {Quadrant("oracle" + std::to_string(index), PackageGeometry{},
+                   std::move(bump_rows)),
+          cut_line_n};
+}
+
+constexpr int kOracleCases = 240;
+
+TEST(DfaOracle, MatchesSlotWalkOnRandomQuadrants) {
+  int max_alpha = 0;
+  for (int i = 0; i < kOracleCases; ++i) {
+    const OracleCase c = random_oracle_case(i);
+    SCOPED_TRACE("case " + std::to_string(i) + ": alpha " +
+                 std::to_string(c.quadrant.finger_count()) + ", n " +
+                 std::to_string(c.cut_line_n));
+    max_alpha = std::max(max_alpha, c.quadrant.finger_count());
+    EXPECT_EQ(DfaAssigner(c.cut_line_n).assign(c.quadrant).order,
+              reference_dfa_order(c.quadrant, c.cut_line_n));
+  }
+  EXPECT_EQ(max_alpha, 6144);
+}
+
+TEST(IfaOracle, MatchesListScanOnRandomQuadrants) {
+  for (int i = 0; i < kOracleCases; ++i) {
+    const OracleCase c = random_oracle_case(i);
+    SCOPED_TRACE("case " + std::to_string(i) + ": alpha " +
+                 std::to_string(c.quadrant.finger_count()));
+    EXPECT_EQ(IfaAssigner().assign(c.quadrant).order,
+              reference_ifa_order(c.quadrant));
+  }
+}
+
+TEST(AssignOracles, ReproduceTheWorkedExamples) {
+  // The oracles themselves are pinned to the paper's Figs. 10 and 12.
+  const Quadrant q = CircuitGenerator::fig5_quadrant();
+  EXPECT_EQ(reference_ifa_order(q),
+            (std::vector<NetId>{10, 1, 11, 2, 3, 6, 4, 5, 9, 7, 8, 0}));
+  EXPECT_EQ(reference_dfa_order(q, 1),
+            (std::vector<NetId>{10, 11, 1, 2, 6, 3, 4, 9, 5, 7, 8, 0}));
+}
 
 }  // namespace
 }  // namespace fp

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "obs/json.h"
 #include "assign/random_assigner.h"
 #include "codesign/flow.h"
+#include "io/assignment_file.h"
 #include "package/circuit_generator.h"
 #include "route/router.h"
 #include "route/via_plan.h"
@@ -233,6 +235,66 @@ TEST(CheckAssign, Assign003MonotoneViolation) {
   CheckContext context = context_of(package);
   context.assignment = &assignment;
   expect_fires(context, CheckStage::Assignment, "ASSIGN-003");
+}
+
+/// Every assignment-stage finding as "RULE severity: message" lines.
+std::string assignment_findings(const Package& package,
+                                const PackageAssignment& assignment) {
+  CheckContext context = context_of(package);
+  context.assignment = &assignment;
+  std::string out;
+  for (const CheckFinding& f :
+       run_checks(context, CheckStage::Assignment).findings) {
+    out += f.rule + " " + std::string(to_string(f.severity)) + ": " +
+           f.message + "\n";
+  }
+  return out;
+}
+
+TEST(CheckAssign, CorruptedAssignmentFindingsAreByteStable) {
+  // The exact findings on corrupted assignments, in memory and through
+  // the assignment file: the permutation checks may change how they
+  // work, never what they report.
+  const Package package =
+      build(PackageGeometry{}, {{{0, 1, 2}, {3}}, {{4, 5}, {6}}});
+  PackageAssignment corrupt;
+  corrupt.quadrants.push_back(QuadrantAssignment{{5, 5, -3, 1}});
+  corrupt.quadrants.push_back(QuadrantAssignment{{6, 6, 4}});
+  EXPECT_EQ(assignment_findings(package, corrupt),
+            "ASSIGN-002 error: quadrant 'q0': net 'n5' has no bump in this "
+            "quadrant\n"
+            "ASSIGN-002 error: quadrant 'q0': net 'n5' has no bump in this "
+            "quadrant\n"
+            "ASSIGN-002 error: quadrant 'q0': net 'n5' occupies two fingers "
+            "(one net per finger/pad)\n"
+            "ASSIGN-002 error: quadrant 'q0': finger holds invalid net id "
+            "-3\n"
+            "ASSIGN-002 error: quadrant 'q0': a bumped net is missing from "
+            "the finger row\n"
+            "ASSIGN-002 error: quadrant 'q1': net 'n6' occupies two fingers "
+            "(one net per finger/pad)\n"
+            "ASSIGN-002 error: quadrant 'q1': a bumped net is missing from "
+            "the finger row\n");
+
+  const auto load = [&](const std::string& q1_nets) {
+    std::istringstream in("assignment check\nquadrant q0 0 1 3 2\n"
+                          "quadrant q1 " + q1_nets + "\nend\n");
+    return read_assignment(in, package);
+  };
+  EXPECT_EQ(assignment_findings(package, load("5 6 4")),
+            "ASSIGN-003 error: quadrant 'q1': monotonic violation on row 0: "
+            "net 4 (bump col 0) must sit on a finger left of net 5 (bump "
+            "col 1) -- no monotonic routing exists\n");
+  for (const std::string bad : {"4 4 6", "4 6 2147483647", "4 6 2"}) {
+    try {
+      (void)load(bad);
+      ADD_FAILURE() << "loaded " << bad;
+    } catch (const IoError& error) {
+      EXPECT_STREQ(error.what(), "assignment line 3: not a permutation of "
+                                 "quadrant 'q1''s nets")
+          << bad;
+    }
+  }
 }
 
 // ----------------------------------------------------- route fixtures ----

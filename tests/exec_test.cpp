@@ -4,13 +4,16 @@
 // inside parallel regions.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstddef>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/exec.h"
@@ -305,6 +308,44 @@ TEST(Subprocess, SignalDeathIsDistinguishedFromNormalExit) {
       << "a killed worker must be classifiable as a crash, not an exit";
   EXPECT_EQ(status.signal, SIGKILL);
   EXPECT_NE(status.to_string().find("SIGKILL"), std::string::npos);
+}
+
+/// True once `pid` has exited: no such process, or a zombie that only
+/// waits for its (re)parent to reap it.
+bool process_gone(pid_t pid) {
+  if (::kill(pid, 0) != 0) return true;
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string pid_field, comm, state;
+  return stat >> pid_field >> comm >> state && state == "Z";
+}
+
+TEST(Subprocess, KillReachesGrandchildren) {
+  const std::string pid_file = ::testing::TempDir() + "subproc_grandchild";
+  std::remove(pid_file.c_str());
+  exec::SpawnOptions options;
+  options.argv = {"/bin/sh", "-c",
+                  "sleep 30 & echo $! > " + pid_file + ".tmp && mv " +
+                      pid_file + ".tmp " + pid_file + "; wait"};
+  exec::Child child = exec::Child::spawn(options);
+  pid_t grandchild = 0;
+  for (int i = 0; i < 1000 && grandchild <= 0; ++i) {
+    std::ifstream in(pid_file);
+    if (!(in >> grandchild)) {
+      grandchild = 0;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  child.kill(SIGKILL);
+  EXPECT_EQ(child.wait().signal, SIGKILL);
+  ASSERT_GT(grandchild, 0) << "the shell never started its sleep";
+  bool gone = false;
+  for (int i = 0; i < 500 && !gone; ++i) {
+    gone = process_gone(grandchild);
+    if (!gone) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(gone) << "grandchild " << grandchild << " outlived kill()";
+  if (!gone) ::kill(grandchild, SIGKILL);
+  std::remove(pid_file.c_str());
 }
 
 TEST(Subprocess, SetAndUnsetEnvReachTheChild) {

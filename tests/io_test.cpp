@@ -75,6 +75,11 @@ struct BadInput {
   const char* text;
 };
 
+// Names each case by its label. Without this gtest prints the struct's raw
+// bytes, i.e. two string addresses, and the test names change from run to
+// run with address-space randomisation.
+void PrintTo(const BadInput& input, std::ostream* os) { *os << input.label; }
+
 class MalformedCircuit : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(MalformedCircuit, Rejected) {

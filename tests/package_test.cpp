@@ -1,6 +1,8 @@
 // Unit tests for the package model: quadrants, assignments, whole package.
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "package/assignment.h"
 #include "package/circuit_generator.h"
 #include "package/package.h"
@@ -152,6 +154,29 @@ TEST(Assignment, PermutationCheck) {
   QuadrantAssignment foreign;
   foreign.order = {1, 3, 0, 5, 9};
   EXPECT_FALSE(is_permutation_of(foreign, q));
+
+  // Ids the quadrant cannot hold, including ones a corrupt file may carry:
+  // each is rejected without sizing a table by the id.
+  const auto check = [&](std::vector<NetId> order) {
+    return is_permutation_of(QuadrantAssignment{std::move(order)}, q);
+  };
+  EXPECT_FALSE(check({1, 3, 0, 5, 2}));   // foreign id inside the id range
+  EXPECT_FALSE(check({1, 3, 0, 5, -7}));  // negative id
+  EXPECT_FALSE(check({1, 3, 0, 5, kInvalidNet}));
+  EXPECT_FALSE(check({1, 3, 0, 5, INT_MAX}));
+  EXPECT_FALSE(check({1, 3, 0, 5, 4, 4}));  // long order
+  EXPECT_FALSE(check({}));                  // empty assignment
+}
+
+TEST(Quadrant, LocalIndexFollowsAllNets) {
+  const Quadrant q("t", PackageGeometry{}, {{13, 11, 15}, {10, 12}});
+  const std::vector<NetId> nets = q.all_nets();
+  for (int i = 0; i < q.net_count(); ++i) {
+    EXPECT_EQ(q.local_index(nets[static_cast<std::size_t>(i)]), i);
+  }
+  for (const NetId absent : {14, 9, 16, 0, -1, INT_MIN, INT_MAX}) {
+    EXPECT_EQ(q.local_index(absent), -1) << absent;
+  }
 }
 
 TEST(Assignment, RingOrderConcatenatesQuadrants) {
