@@ -1,9 +1,10 @@
 // Google-benchmark microbenchmarks of the core kernels, backing the
 // paper's "runtimes for all cases are within seconds" claim: the three
-// assigners, the congestion estimator, the Eq.-(1) solvers and the full
-// co-design flow. The *Threads benchmarks sweep the exec worker-pool
-// size; `--json [path]` additionally writes the fpkit.bench.parallel.v1
-// scaling document (BENCH_parallel.json, see bench_common.h).
+// assigners, the Eq.-(3) swap delta of the exchange, the congestion
+// estimator, the Eq.-(1) solvers and the full co-design flow. The
+// *Threads benchmarks sweep the exec worker-pool size; `--json [path]`
+// additionally writes the fpkit.bench.parallel.v1 scaling document
+// (BENCH_parallel.json, see bench_common.h).
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -13,9 +14,11 @@
 #include "assign/ifa.h"
 #include "assign/random_assigner.h"
 #include "bench_common.h"
+#include "exchange/incremental_cost.h"
 #include "exec/exec.h"
 #include "route/density.h"
 #include "route/router.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -42,19 +45,29 @@ void BM_RandomAssign(benchmark::State& state) {
 BENCHMARK(BM_RandomAssign)->DenseRange(0, 4);
 
 /// Table-1 circuit `arg` for arg 0-4; otherwise circuit 5's geometry with
-/// 4 rows per quadrant scaled to `arg` fingers (the plan_large packages).
-const Package& assign_circuit(int arg) {
-  if (arg < 5) return circuit(arg);
-  static std::map<int, Package> large;
-  auto it = large.find(arg);
-  if (it == large.end()) {
-    CircuitSpec spec = CircuitGenerator::table1(4);
-    spec.finger_count = arg;
-    spec.rows_per_quadrant = 4;
-    spec.tier_count = 2;
-    it = large.emplace(arg, CircuitGenerator::generate(spec)).first;
+/// 4 rows per quadrant scaled to `arg` fingers (the plan_large packages);
+/// `tiers` dies.
+const Package& sized_circuit(int arg, int tiers) {
+  static std::map<std::pair<int, int>, Package> packages;
+  auto it = packages.find({arg, tiers});
+  if (it == packages.end()) {
+    CircuitSpec spec = CircuitGenerator::table1(arg < 5 ? arg : 4);
+    if (arg >= 5) {
+      spec.finger_count = arg;
+      spec.rows_per_quadrant = 4;
+    }
+    spec.tier_count = tiers;
+    it = packages.emplace(std::pair{arg, tiers},
+                          CircuitGenerator::generate(spec))
+             .first;
   }
   return it->second;
+}
+
+/// The assigner rows: Table-1 circuits as published, large packages at
+/// two tiers.
+const Package& assign_circuit(int arg) {
+  return arg < 5 ? circuit(arg) : sized_circuit(arg, 2);
 }
 
 /// items_per_second of the assigner rows is fingers per second, so the
@@ -79,6 +92,40 @@ BENCHMARK(BM_Assigner<DfaAssigner>)
     ->Arg(1536)
     ->Arg(3072)
     ->Arg(6144);
+
+/// One item is one IncrementalCost apply_swap + undo_last pair, cycling
+/// through the DFA start's legal adjacent swaps in a fixed shuffled
+/// order, so items_per_second shows whether the Eq.-(3) swap delta stays
+/// flat in alpha.
+void BM_IncrementalSwap(benchmark::State& state) {
+  const Package& package = sized_circuit(static_cast<int>(state.range(0)),
+                                         static_cast<int>(state.range(1)));
+  const PackageAssignment initial = DfaAssigner().assign(package);
+  std::vector<std::pair<int, int>> swaps;  // (quadrant, left finger)
+  for (int qi = 0; qi < package.quadrant_count(); ++qi) {
+    const Quadrant& q = package.quadrant(qi);
+    const auto& order = initial.quadrants[static_cast<std::size_t>(qi)].order;
+    for (std::size_t left = 0; left + 1 < order.size(); ++left) {
+      if (q.net_row(order[left]) != q.net_row(order[left + 1])) {
+        swaps.emplace_back(qi, static_cast<int>(left));
+      }
+    }
+  }
+  Rng(1).shuffle(swaps);
+  IncrementalCost cost(package, initial, 20.0, 2.0, 1.0);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto [quadrant, left] = swaps[next];
+    if (++next == swaps.size()) next = 0;
+    cost.apply_swap(quadrant, left);
+    benchmark::DoNotOptimize(cost.current());
+    cost.undo_last();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_IncrementalSwap)
+    ->ArgsProduct({{0, 1, 2, 3, 4, 1536, 6144}, {1, 2}})
+    ->ArgNames({"circuit", "psi"});
 
 void BM_DensityMap(benchmark::State& state) {
   const Package& package = circuit(static_cast<int>(state.range(0)));

@@ -5,7 +5,7 @@
 // Both clients replay the same legal swap stream and end with the full
 // verdict (IR + checks) on the same final assignment:
 //   - incremental: each swap request returns the delta-maintained
-//     Eq.-(3) cost (O(affected-nets)); a full evaluate (cached quadrant
+//     Eq.-(3) cost (O(1) per swap); a full evaluate (cached quadrant
 //     maps, warm-started IR re-solve, dirty-rule checks) runs every
 //     --evaluate-every swaps and once at the end of the stream.
 //   - cold: the pre-session status quo -- rebuild the density map,
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
       static_cast<int>(args.get_int("evaluate-every", 16));
 
   // The interactive-session circuit: alpha = 768 fingers across 4
-  // quadrants, where the O(alpha) -> O(affected-nets) swap contract is
+  // quadrants, where the incremental-vs-cold swap contract is
   // visible over the fixed per-request overheads.
   CircuitSpec spec = CircuitGenerator::table1(2);
   spec.finger_count = 768;

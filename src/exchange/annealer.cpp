@@ -56,6 +56,15 @@ AnnealResult Annealer::run(double initial_cost, const TryMove& try_move,
   result.initial_cost = initial_cost;
   result.best_cost = initial_cost;
 
+  // Per-step telemetry names and the progress total are fixed for the
+  // run: the geometric schedule fixes the cooling step count, so the
+  // heartbeat can show a real percentage and ETA.
+  const std::string cooling_series = schedule_.metric_prefix + ".cooling";
+  const auto total_steps = static_cast<long long>(
+      std::ceil(std::log(schedule_.final_temperature /
+                         schedule_.initial_temperature) /
+                std::log(schedule_.cooling)));
+
   double cost = initial_cost;
   for (double temperature = schedule_.initial_temperature;
        temperature > schedule_.final_temperature;
@@ -83,7 +92,7 @@ AnnealResult Annealer::run(double initial_cost, const TryMove& try_move,
     }
     if (obs::metrics_enabled() &&
         (record_shim || schedule_.record_every <= 0)) {
-      obs::sample(schedule_.metric_prefix + ".cooling", cooling_columns(),
+      obs::sample(cooling_series, cooling_columns(),
                   {temperature, cost, static_cast<double>(result.accepted)});
     }
     if (obs::tracing_enabled()) {
@@ -93,12 +102,6 @@ AnnealResult Annealer::run(double initial_cost, const TryMove& try_move,
                     {"accepted", static_cast<double>(result.accepted)}});
     }
     if (obs::progress_enabled()) {
-      // Total cooling steps are fixed by the geometric schedule, so the
-      // heartbeat can show a real percentage and ETA.
-      const long long total_steps = static_cast<long long>(std::ceil(
-          std::log(schedule_.final_temperature /
-                   schedule_.initial_temperature) /
-          std::log(schedule_.cooling)));
       obs::progress_tick(schedule_.metric_prefix, result.temperature_steps,
                          total_steps);
     }

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "exec/exec.h"
-#include "exchange/cost_evaluator.h"
+#include "exchange/incremental_cost.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -150,15 +150,14 @@ ExchangeResult ExchangeOptimizer::optimize(
   PackageAssignment current = initial;
   const IncreasedDensity id_tracker(*package_, initial);
 
-  // Proxy mode evaluates Eq. (3) incrementally (O(log alpha) per swap)
-  // through the shared CostEvaluator delta path (the same one the
+  // Proxy mode evaluates Eq. (3) incrementally (O(1) per swap, O(psi)
+  // for omega) through IncrementalCost (the same delta path the
   // DesignSession of src/session/ drives); Compact/Exact modes re-solve
   // their IR term anyway.
-  std::unique_ptr<CostEvaluator> incremental;
+  std::optional<IncrementalCost> incremental;
   if (options_.ir_mode == IrCostMode::Proxy) {
-    incremental = make_incremental_evaluator(*package_, initial,
-                                             options_.lambda, options_.rho,
-                                             options_.phi);
+    incremental.emplace(*package_, initial, options_.lambda, options_.rho,
+                        options_.phi);
   }
 
   // net -> (quadrant, finger) position index, maintained across swaps.

@@ -8,11 +8,11 @@
 namespace fp {
 namespace {
 
-/// Cyclic gap from `from` to `to` on a ring of `size` slots.
-int cyclic_gap(int from, int to, int size) {
-  int gap = to - from;
+/// Squared cyclic gap from `from` to `to` on a ring of `size` slots.
+long long gap_sq(int from, int to, int size) {
+  long long gap = to - from;
   if (gap <= 0) gap += size;
-  return gap;
+  return gap * gap;
 }
 
 }  // namespace
@@ -29,68 +29,56 @@ IncrementalCost::IncrementalCost(const Package& package,
   require(tier_count_ <= 32, "IncrementalCost: too many tiers");
   full_mask_ = tier_count_ == 32 ? ~0u : ((1u << tier_count_) - 1u);
 
-  for (int qi = 0; qi < package.quadrant_count(); ++qi) {
-    ring_offset_.push_back(package.ring_offset(qi));
+  const Netlist& netlist = package.netlist();
+  const std::vector<NetId> ring = current_.ring_order();
+  supply_slot_.assign(ring.size(), -1);
+  tier_bit_.reserve(ring.size());
+  for (std::size_t p = 0; p < ring.size(); ++p) {
+    const Net& net = netlist.net(ring[p]);
+    if (is_supply(net.type)) {
+      supply_slot_[p] = static_cast<int>(supply_pos_.size());
+      supply_pos_.push_back(static_cast<int>(p));
+    }
+    tier_bit_.push_back(1u << net.tier);
   }
 
   // --- dispersion ---
-  const std::vector<NetId> ring = current_.ring_order();
-  for (int p = 0; p < alpha_; ++p) {
-    if (is_supply(package.netlist().net(ring[static_cast<std::size_t>(p)])
-                      .type)) {
-      supply_positions_.insert(p);
-    }
-  }
-  if (!supply_positions_.empty()) {
-    for (auto it = supply_positions_.begin(); it != supply_positions_.end();
-         ++it) {
-      auto next = std::next(it);
-      const int to = next == supply_positions_.end()
-                         ? *supply_positions_.begin()
-                         : *next;
-      const double gap = cyclic_gap(*it, to, alpha_);
-      gap_sum_sq_ += gap * gap;
-    }
+  for (std::size_t s = 0; s < supply_pos_.size(); ++s) {
+    gap_sum_sq_ += gap_sq(supply_pos_[s],
+                          supply_pos_[(s + 1) % supply_pos_.size()], alpha_);
   }
 
-  // --- Eq. (2) ---
+  // --- Eq. (2): every section starts at its baseline load ---
+  int widest = 0;
   for (int qi = 0; qi < package.quadrant_count(); ++qi) {
-    loads_.push_back(section_loads(
-        package.quadrant(qi),
-        current_.quadrants[static_cast<std::size_t>(qi)]));
-    base_loads_.push_back(loads_.back());
-    for (std::size_t s = 0; s < loads_.back().size(); ++s) {
-      deltas_.insert(0);
-    }
+    const Quadrant& q = package.quadrant(qi);
+    section_start_.push_back(static_cast<int>(delta_.size()));
+    delta_.resize(delta_.size() +
+                  static_cast<std::size_t>(q.bumps_in_row(q.top_row()) + 1));
+    widest = std::max(widest, q.finger_count());
   }
+  delta_offset_ = widest;
+  delta_count_.assign(static_cast<std::size_t>(2 * widest + 1), 0);
+  delta_count_[static_cast<std::size_t>(delta_offset_)] =
+      static_cast<int>(delta_.size());
 
-  // --- omega ---
-  const std::size_t groups =
-      (static_cast<std::size_t>(alpha_) +
-       static_cast<std::size_t>(tier_count_) - 1) /
-      static_cast<std::size_t>(tier_count_);
-  group_union_.assign(groups, 0);
-  for (int p = 0; p < alpha_; ++p) {
-    group_union_[static_cast<std::size_t>(p / tier_count_)] |=
-        1u << package.netlist().net(ring[static_cast<std::size_t>(p)]).tier;
-  }
-  for (const std::uint32_t value : group_union_) {
-    omega_ += std::popcount(full_mask_ & ~value);
-  }
+  // --- omega: every group starts empty, missing all psi tiers ---
+  const int groups = (alpha_ + tier_count_ - 1) / tier_count_;
+  group_union_.assign(static_cast<std::size_t>(groups), 0);
+  omega_ = groups * std::popcount(full_mask_);
+  for (int g = 0; g < groups; ++g) rebuild_group(g);
 }
 
 double IncrementalCost::dispersion() const {
-  if (supply_positions_.empty()) return 0.0;
-  const double p = static_cast<double>(supply_positions_.size());
+  if (supply_pos_.empty()) return 0.0;
+  const double p = static_cast<double>(supply_pos_.size());
   const double total = static_cast<double>(alpha_);
-  return gap_sum_sq_ / (total * total / p);
+  return static_cast<double>(gap_sum_sq_) / (total * total / p);
 }
 
 int IncrementalCost::increased_density() const {
-  return deltas_.empty() ? 0 : std::max(0, *deltas_.rbegin());
+  return std::max(0, max_delta_);
 }
-
-int IncrementalCost::omega() const { return omega_; }
 
 double IncrementalCost::current() const {
   return lambda_ * dispersion() + rho_ * increased_density() +
@@ -108,11 +96,30 @@ void IncrementalCost::undo_last() {
   last_ = LastSwap{};
 }
 
-std::unique_ptr<CostEvaluator> make_incremental_evaluator(
-    const Package& package, const PackageAssignment& initial, double lambda,
-    double rho, double phi) {
-  return std::make_unique<IncrementalCost>(package, initial, lambda, rho,
-                                           phi);
+void IncrementalCost::shift_load(int section, int step) {
+  int& delta = delta_[static_cast<std::size_t>(section)];
+  --delta_count_[static_cast<std::size_t>(delta + delta_offset_)];
+  delta += step;
+  ++delta_count_[static_cast<std::size_t>(delta + delta_offset_)];
+  // A +-1 step moves the max by at most one.
+  if (delta > max_delta_) {
+    max_delta_ = delta;
+  } else if (delta_count_[static_cast<std::size_t>(max_delta_ +
+                                                   delta_offset_)] == 0) {
+    --max_delta_;
+  }
+}
+
+void IncrementalCost::rebuild_group(int group) {
+  auto& value = group_union_[static_cast<std::size_t>(group)];
+  omega_ -= std::popcount(full_mask_ & ~value);
+  value = 0;
+  const int start = group * tier_count_;
+  const int end = std::min(start + tier_count_, alpha_);
+  for (int i = start; i < end; ++i) {
+    value |= tier_bit_[static_cast<std::size_t>(i)];
+  }
+  omega_ += std::popcount(full_mask_ & ~value);
 }
 
 void IncrementalCost::swap_impl(int quadrant, int left_finger) {
@@ -124,107 +131,55 @@ void IncrementalCost::swap_impl(int quadrant, int left_finger) {
           "IncrementalCost: finger out of range");
 
   const Quadrant& q = package_->quadrant(quadrant);
-  const Netlist& netlist = package_->netlist();
   const NetId a = order[static_cast<std::size_t>(left_finger)];
   const NetId b = order[static_cast<std::size_t>(left_finger + 1)];
-  require(q.net_row(a) != q.net_row(b),
-          "IncrementalCost: same-row swap is illegal");
-  const int p = ring_offset_[static_cast<std::size_t>(quadrant)] +
-                left_finger;
-
+  const int row_a = q.net_row(a);
+  const int row_b = q.net_row(b);
+  require(row_a != row_b, "IncrementalCost: same-row swap is illegal");
   std::swap(order[static_cast<std::size_t>(left_finger)],
             order[static_cast<std::size_t>(left_finger + 1)]);
+  const int p = package_->ring_offset(quadrant) + left_finger;
+  const auto left = static_cast<std::size_t>(p);
 
-  // --- dispersion: exactly one supply net moves by one slot -------------
-  const bool sa = is_supply(netlist.net(a).type);
-  const bool sb = is_supply(netlist.net(b).type);
-  if (sa != sb) {
-    const int from = sa ? p : p + 1;
-    const int to = sa ? p + 1 : p;
-    // Remove `from`, merging its two gaps.
-    if (supply_positions_.size() == 1) {
-      gap_sum_sq_ = 0.0;
-      supply_positions_.clear();
-    } else {
-      auto it = supply_positions_.find(from);
-      ensure(it != supply_positions_.end(),
-             "IncrementalCost: supply position desync");
-      auto next = std::next(it);
-      const int after = next == supply_positions_.end()
-                            ? *supply_positions_.begin()
-                            : *next;
-      const int before = it == supply_positions_.begin()
-                             ? *supply_positions_.rbegin()
-                             : *std::prev(it);
-      const double g1 = cyclic_gap(before, from, alpha_);
-      const double g2 = cyclic_gap(from, after, alpha_);
-      gap_sum_sq_ += (g1 + g2) * (g1 + g2) - g1 * g1 - g2 * g2;
-      supply_positions_.erase(it);
+  // --- dispersion: exactly one supply pad moves by one slot -------------
+  const int slot_a = supply_slot_[left];
+  const int slot_b = supply_slot_[left + 1];
+  if ((slot_a >= 0) != (slot_b >= 0)) {
+    const auto slot = static_cast<std::size_t>(std::max(slot_a, slot_b));
+    const int from = supply_pos_[slot];
+    const int to = slot_a >= 0 ? p + 1 : p;
+    const std::size_t count = supply_pos_.size();
+    if (count > 1) {
+      const int before = supply_pos_[(slot + count - 1) % count];
+      const int after = supply_pos_[(slot + 1) % count];
+      gap_sum_sq_ += gap_sq(before, to, alpha_) + gap_sq(to, after, alpha_) -
+                     gap_sq(before, from, alpha_) -
+                     gap_sq(from, after, alpha_);
     }
-    // Insert `to`, splitting its containing gap.
-    if (supply_positions_.empty()) {
-      gap_sum_sq_ = static_cast<double>(alpha_) * alpha_;
-      supply_positions_.insert(to);
-    } else {
-      auto next = supply_positions_.upper_bound(to);
-      const int after = next == supply_positions_.end()
-                            ? *supply_positions_.begin()
-                            : *next;
-      const int before = next == supply_positions_.begin()
-                             ? *supply_positions_.rbegin()
-                             : *std::prev(next);
-      const double g = cyclic_gap(before, after, alpha_);
-      const double g1 = cyclic_gap(before, to, alpha_);
-      const double g2 = cyclic_gap(to, after, alpha_);
-      gap_sum_sq_ += g1 * g1 + g2 * g2 - g * g;
-      supply_positions_.insert(to);
-    }
+    supply_pos_[slot] = to;
+    std::swap(supply_slot_[left], supply_slot_[left + 1]);
   }
 
   // --- Eq. (2): one signal net crosses a section boundary ---------------
-  const bool ta = q.net_row(a) == q.top_row();
-  const bool tb = q.net_row(b) == q.top_row();
-  if (ta != tb) {
-    // Rank of the top-row net among its row's nets (stable: same-row swaps
-    // never happen, so finger order within the row is fixed).
-    const NetId top_net = ta ? a : b;
-    const auto& row = q.row_nets(q.top_row());
-    const int rank = static_cast<int>(
-        std::find(row.begin(), row.end(), top_net) - row.begin());
-    auto& loads = loads_[static_cast<std::size_t>(quadrant)];
-    const auto& base = base_loads_[static_cast<std::size_t>(quadrant)];
+  const bool ta = row_a == q.top_row();
+  if (ta != (row_b == q.top_row())) {
+    // Top-row nets keep their column order along the fingers (same-row
+    // swaps never happen), so the column is the net's rank in its row.
+    const int rank = q.net_col(ta ? a : b);
+    const int first = section_start_[static_cast<std::size_t>(quadrant)];
     // ta: the signal net b moves from section rank+1 to rank;
     // tb: the signal net a moves from section rank to rank+1.
-    const int gain = ta ? rank : rank + 1;
-    const int lose = ta ? rank + 1 : rank;
-    for (const int section : {gain, lose}) {
-      deltas_.erase(deltas_.find(loads[static_cast<std::size_t>(section)] -
-                                 base[static_cast<std::size_t>(section)]));
-    }
-    ++loads[static_cast<std::size_t>(gain)];
-    --loads[static_cast<std::size_t>(lose)];
-    for (const int section : {gain, lose}) {
-      deltas_.insert(loads[static_cast<std::size_t>(section)] -
-                     base[static_cast<std::size_t>(section)]);
-    }
+    shift_load(first + (ta ? rank : rank + 1), +1);
+    shift_load(first + (ta ? rank + 1 : rank), -1);
   }
 
   // --- omega: rebuild the touched groups when the swap straddles one ----
+  std::swap(tier_bit_[left], tier_bit_[left + 1]);
   const int g1 = p / tier_count_;
   const int g2 = (p + 1) / tier_count_;
   if (g1 != g2) {
-    const std::vector<NetId> ring = current_.ring_order();
-    for (const int g : {g1, g2}) {
-      auto& value = group_union_[static_cast<std::size_t>(g)];
-      omega_ -= std::popcount(full_mask_ & ~value);
-      value = 0;
-      const int start = g * tier_count_;
-      const int end = std::min(start + tier_count_, alpha_);
-      for (int i = start; i < end; ++i) {
-        value |= 1u << netlist.net(ring[static_cast<std::size_t>(i)]).tier;
-      }
-      omega_ += std::popcount(full_mask_ & ~value);
-    }
+    rebuild_group(g1);
+    rebuild_group(g2);
   }
 }
 

@@ -11,6 +11,28 @@
 
 namespace fp {
 
+namespace {
+
+/// Validates the session inputs and returns `initial` for the cost member.
+const PackageAssignment& checked_initial(const Package& package,
+                                         const SessionOptions& options,
+                                         const PackageAssignment& initial) {
+  require(options.lambda >= 0.0 && options.rho >= 0.0 && options.phi >= 0.0,
+          "DesignSession: Eq.-(3) weights must be non-negative");
+  require(static_cast<int>(initial.quadrants.size()) ==
+              package.quadrant_count(),
+          "DesignSession: assignment/package quadrant count mismatch");
+  for (int qi = 0; qi < package.quadrant_count(); ++qi) {
+    require(is_monotone_legal(
+                package.quadrant(qi),
+                initial.quadrants[static_cast<std::size_t>(qi)]),
+            "DesignSession: initial assignment is not monotone legal");
+  }
+  return initial;
+}
+
+}  // namespace
+
 DesignSession::DesignSession(const Package& package,
                              PackageAssignment initial,
                              SessionOptions options)
@@ -19,21 +41,9 @@ DesignSession::DesignSession(const Package& package,
       has_supply_(!package.netlist().supply_nets().empty()),
       initial_(std::move(initial)),
       grid_(options_.grid_spec),
-      ring_(package, options_.grid_spec.nodes_per_side) {
-  require(options_.lambda >= 0.0 && options_.rho >= 0.0 &&
-              options_.phi >= 0.0,
-          "DesignSession: Eq.-(3) weights must be non-negative");
-  require(static_cast<int>(initial_.quadrants.size()) ==
-              package.quadrant_count(),
-          "DesignSession: assignment/package quadrant count mismatch");
-  for (int qi = 0; qi < package.quadrant_count(); ++qi) {
-    require(is_monotone_legal(
-                package.quadrant(qi),
-                initial_.quadrants[static_cast<std::size_t>(qi)]),
-            "DesignSession: initial assignment is not monotone legal");
-  }
-  cost_ = make_incremental_evaluator(package, initial_, options_.lambda,
-                                     options_.rho, options_.phi);
+      ring_(package, options_.grid_spec.nodes_per_side),
+      cost_(package, checked_initial(package, options_, initial_),
+            options_.lambda, options_.rho, options_.phi) {
   quads_.resize(static_cast<std::size_t>(package.quadrant_count()));
   engine_ = CheckEngine(CheckEngineOptions{options_.check_config,
                                            options_.check_stage_mask});
@@ -76,7 +86,7 @@ void DesignSession::touch(int quadrant) {
 void DesignSession::apply_swap(int quadrant, int left_finger) {
   const std::optional<std::string> why = swap_illegal(quadrant, left_finger);
   require(!why, "DesignSession::apply_swap: " + why.value_or(""));
-  cost_->apply_swap(quadrant, left_finger);
+  cost_.apply_swap(quadrant, left_finger);
   journal_.emplace_back(quadrant, left_finger);
   touch(quadrant);
   ++stats_.swaps;
@@ -88,7 +98,7 @@ bool DesignSession::undo() {
   const auto [quadrant, left_finger] = journal_.back();
   journal_.pop_back();
   // An adjacent swap is an involution: undo = re-apply the same swap.
-  cost_->apply_swap(quadrant, left_finger);
+  cost_.apply_swap(quadrant, left_finger);
   touch(quadrant);
   ++stats_.undos;
   if (obs::metrics_enabled()) obs::count("session.undos");
@@ -141,7 +151,7 @@ const std::vector<std::vector<int>>& DesignSession::density_rows(
 CheckContext DesignSession::make_context() const {
   CheckContext context;
   context.package = package_;
-  context.assignment = &cost_->assignment();
+  context.assignment = &cost_.assignment();
   context.strategy = options_.routing;
   context.grid_spec = options_.grid_spec;
   context.solver = options_.solver;
@@ -153,10 +163,10 @@ SessionEvaluation DesignSession::evaluate(
     const SessionEvaluateOptions& what) {
   const obs::ScopedSpan span("session.evaluate", "session");
   SessionEvaluation ev;
-  ev.cost = cost_->current();
-  ev.dispersion = cost_->dispersion();
-  ev.increased_density = cost_->increased_density();
-  ev.omega = cost_->omega();
+  ev.cost = cost_.current();
+  ev.dispersion = cost_.dispersion();
+  ev.increased_density = cost_.increased_density();
+  ev.omega = cost_.omega();
   for (int qi = 0; qi < package_->quadrant_count(); ++qi) {
     const QuadCache& cache = ensure_quadrant(qi);
     ev.max_density = std::max(ev.max_density, cache.max_density);

@@ -6,9 +6,10 @@
 // DRC verdict back after every finger/pad swap. DesignSession owns that
 // mutable state and propagates deltas instead of recomputing:
 //
-//   * Eq.-(3) cost     -- the shared CostEvaluator delta path
-//                         (exchange/cost_evaluator.h): O(log alpha) per
-//                         swap, the same evaluator the SA loop drives.
+//   * Eq.-(3) cost     -- the IncrementalCost delta path
+//                         (exchange/incremental_cost.h): O(1) per swap,
+//                         O(psi) for omega, the same evaluator the SA
+//                         loop drives.
 //   * congestion map   -- per-quadrant DensityMap/flyline caches; a swap
 //                         invalidates only its own quadrant, so evaluate
 //                         rebuilds O(affected-quadrant) instead of the
@@ -30,7 +31,7 @@
 // evaluate_cold() recomputes every figure from scratch on the current
 // assignment; tests/session_test.cpp property-tests incremental ==
 // cold over multi-seed random legal swap streams, which is the
-// O(alpha)-per-swap -> O(affected-nets) contract of docs/SERVE.md.
+// incremental contract of docs/SERVE.md.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +42,7 @@
 #include <vector>
 
 #include "analysis/engine.h"
-#include "exchange/cost_evaluator.h"
+#include "exchange/incremental_cost.h"
 #include "geom/grid2d.h"
 #include "package/assignment.h"
 #include "package/package.h"
@@ -130,7 +131,7 @@ class DesignSession {
 
   /// The evolving assignment (owned by the shared cost evaluator).
   [[nodiscard]] const PackageAssignment& assignment() const {
-    return cost_->assignment();
+    return cost_.assignment();
   }
   /// The load-time assignment (the Eq.-(2) baseline).
   [[nodiscard]] const PackageAssignment& initial() const { return initial_; }
@@ -155,7 +156,7 @@ class DesignSession {
   [[nodiscard]] std::size_t swap_count() const { return journal_.size(); }
 
   /// The delta-maintained Eq.-(3) cost of the current assignment (O(1)).
-  [[nodiscard]] double cost() const { return cost_->current(); }
+  [[nodiscard]] double cost() const { return cost_.current(); }
 
   /// Incremental evaluation of the current assignment: cached quadrant
   /// maps, warm-started IR solve, dirty-rule-only checks.
@@ -198,11 +199,11 @@ class DesignSession {
   int tier_count_;
   bool has_supply_;
   PackageAssignment initial_;
-  std::unique_ptr<CostEvaluator> cost_;
   std::vector<std::pair<int, int>> journal_;  // (quadrant, left_finger)
   std::vector<QuadCache> quads_;
   PowerGrid grid_;
   PadRing ring_;
+  IncrementalCost cost_;  // built after the constructor's input checks
   std::optional<Grid2D<double>> last_voltage_;
   CheckEngine engine_;
   mutable SessionStats stats_;  // evaluate_cold() counts on a const path

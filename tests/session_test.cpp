@@ -1,4 +1,4 @@
-// The session layer's O(affected-nets) contract (docs/SERVE.md): after
+// The session layer's incremental contract (docs/SERVE.md): after
 // any stream of random legal adjacent swaps (and undos), the delta paths
 // -- Eq.-(3) cost, per-quadrant density maps, memoized global routing,
 // warm-started IR re-solve, dirty-rule-only checks -- must agree with a
