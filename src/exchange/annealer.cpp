@@ -1,6 +1,5 @@
 #include "exchange/annealer.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "obs/metrics.h"
@@ -48,104 +47,70 @@ Annealer::Annealer(SaSchedule schedule) : schedule_(schedule) {
           "Annealer: metric_prefix must be non-empty");
 }
 
-AnnealResult Annealer::run(double initial_cost, const TryMove& try_move,
-                           const Undo& undo) const {
-  const obs::ScopedSpan span(schedule_.metric_prefix + ".anneal", "exchange");
-  Rng rng(schedule_.seed);
-  AnnealResult result;
-  result.initial_cost = initial_cost;
-  result.best_cost = initial_cost;
+Annealer::RunTelemetry Annealer::start_run() const {
+  // The geometric schedule fixes the cooling step count, so the heartbeat
+  // can show a real percentage and ETA.
+  return RunTelemetry{
+      schedule_.metric_prefix + ".cooling",
+      static_cast<long long>(std::ceil(
+          std::log(schedule_.final_temperature /
+                   schedule_.initial_temperature) /
+          std::log(schedule_.cooling)))};
+}
 
-  // Per-step telemetry names and the progress total are fixed for the
-  // run: the geometric schedule fixes the cooling step count, so the
-  // heartbeat can show a real percentage and ETA.
-  const std::string cooling_series = schedule_.metric_prefix + ".cooling";
-  const auto total_steps = static_cast<long long>(
-      std::ceil(std::log(schedule_.final_temperature /
-                         schedule_.initial_temperature) /
-                std::log(schedule_.cooling)));
+bool Annealer::begin_step(const RunTelemetry& telemetry, double temperature,
+                          double cost, AnnealResult& result) const {
+  // Budget and fault gates: stop cooling and hand back the best-so-far
+  // state (the caller's state is the last accepted configuration).
+  if (schedule_.cancel && schedule_.cancel->expired()) {
+    result.stop = AnnealStop::BudgetExpired;
+    return false;
+  }
+  if (fault::enabled() && fault::triggered("sa.step")) {
+    result.stop = AnnealStop::FaultInjected;
+    return false;
+  }
+  ++result.temperature_steps;
+  // One sample per recorded temperature step, fanned out to every sink:
+  // the AnnealResult::trace shim (record_every callers), the metrics
+  // series, and the trace counter track. The trace counter fires every
+  // step so a Perfetto view always shows the full cooling curve.
+  const bool record_shim =
+      schedule_.record_every > 0 &&
+      (result.temperature_steps - 1) % schedule_.record_every == 0;
+  if (record_shim) {
+    result.trace.push_back(AnnealSample{temperature, cost, result.accepted});
+  }
+  if (obs::metrics_enabled() &&
+      (record_shim || schedule_.record_every <= 0)) {
+    obs::sample(telemetry.cooling_series, cooling_columns(),
+                {temperature, cost, static_cast<double>(result.accepted)});
+  }
+  if (obs::tracing_enabled()) {
+    obs::counter(schedule_.metric_prefix,
+                 {{"temperature", temperature},
+                  {"cost", cost},
+                  {"accepted", static_cast<double>(result.accepted)}});
+  }
+  if (obs::progress_enabled()) {
+    obs::progress_tick(schedule_.metric_prefix, result.temperature_steps,
+                       telemetry.total_steps);
+  }
+  return true;
+}
 
-  double cost = initial_cost;
-  for (double temperature = schedule_.initial_temperature;
-       temperature > schedule_.final_temperature;
-       temperature *= schedule_.cooling) {
-    // Budget and fault gates: stop cooling and hand back the best-so-far
-    // state (the caller's state is the last accepted configuration).
-    if (schedule_.cancel && schedule_.cancel->expired()) {
-      result.stop = AnnealStop::BudgetExpired;
-      break;
-    }
-    if (fault::enabled() && fault::triggered("sa.step")) {
-      result.stop = AnnealStop::FaultInjected;
-      break;
-    }
-    ++result.temperature_steps;
-    // One sample per recorded temperature step, fanned out to every sink:
-    // the AnnealResult::trace shim (record_every callers), the metrics
-    // series, and the trace counter track. The trace counter fires every
-    // step so a Perfetto view always shows the full cooling curve.
-    const bool record_shim =
-        schedule_.record_every > 0 &&
-        (result.temperature_steps - 1) % schedule_.record_every == 0;
-    if (record_shim) {
-      result.trace.push_back(AnnealSample{temperature, cost, result.accepted});
-    }
-    if (obs::metrics_enabled() &&
-        (record_shim || schedule_.record_every <= 0)) {
-      obs::sample(cooling_series, cooling_columns(),
-                  {temperature, cost, static_cast<double>(result.accepted)});
-    }
-    if (obs::tracing_enabled()) {
-      obs::counter(schedule_.metric_prefix,
-                   {{"temperature", temperature},
-                    {"cost", cost},
-                    {"accepted", static_cast<double>(result.accepted)}});
-    }
-    if (obs::progress_enabled()) {
-      obs::progress_tick(schedule_.metric_prefix, result.temperature_steps,
-                         total_steps);
-    }
-    for (int i = 0; i < schedule_.moves_per_temperature; ++i) {
-      // Inner-loop budget poll, every 64 proposals so huge
-      // moves_per_temperature settings still honour the deadline.
-      if (schedule_.cancel && (result.proposed & 63) == 0 &&
-          schedule_.cancel->expired()) {
-        result.stop = AnnealStop::BudgetExpired;
-        break;
-      }
-      ++result.proposed;
-      const std::optional<double> new_cost = try_move(rng);
-      if (!new_cost.has_value()) {
-        ++result.rejected_illegal;
-        continue;
-      }
-      const double delta = *new_cost - cost;
-      const bool accept =
-          delta <= 0.0 || rng.uniform() < std::exp(-delta / temperature);
-      if (accept) {
-        ++result.accepted;
-        cost = *new_cost;
-        result.best_cost = std::min(result.best_cost, cost);
-      } else {
-        undo();
-      }
-    }
-    if (result.stop != AnnealStop::Completed) break;
-  }
-  result.final_cost = cost;
-  if (obs::metrics_enabled()) {
-    const std::string& p = schedule_.metric_prefix;
-    obs::count(p + ".runs");
-    obs::count(p + ".stop." + std::string(to_string(result.stop)));
-    obs::count(p + ".proposed", result.proposed);
-    obs::count(p + ".accepted", result.accepted);
-    obs::count(p + ".rejected_illegal", result.rejected_illegal);
-    obs::count(p + ".temperature_steps", result.temperature_steps);
-    obs::gauge(p + ".initial_cost", result.initial_cost);
-    obs::gauge(p + ".final_cost", result.final_cost);
-    obs::gauge(p + ".best_cost", result.best_cost);
-  }
-  return result;
+void Annealer::finish_run(const AnnealResult& result) const {
+  if (!obs::metrics_enabled()) return;
+  const std::string& p = schedule_.metric_prefix;
+  obs::count(p + ".runs");
+  obs::count(p + ".stop." + std::string(to_string(result.stop)));
+  obs::count(p + ".proposed", result.proposed);
+  obs::count(p + ".accepted", result.accepted);
+  obs::count(p + ".rejected_illegal", result.rejected_illegal);
+  obs::count(p + ".temperature_steps", result.temperature_steps);
+  obs::gauge(p + ".initial_cost", result.initial_cost);
+  obs::gauge(p + ".final_cost", result.final_cost);
+  obs::gauge(p + ".best_cost", result.best_cost);
 }
 
 }  // namespace fp

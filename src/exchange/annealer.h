@@ -8,13 +8,15 @@
 // evidently a typo since the paper cites [7] for the algorithm.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/trace.h"
 #include "util/cancel.h"
 #include "util/rng.h"
 
@@ -88,22 +90,81 @@ struct AnnealResult {
 
 class Annealer {
  public:
-  /// A move proposal: perturbs the caller's state in place and returns the
-  /// new total cost, or nullopt when the sampled move is illegal (state
-  /// unchanged).
-  using TryMove = std::function<std::optional<double>(Rng&)>;
-  /// Reverts the last successful TryMove.
-  using Undo = std::function<void()>;
-
   explicit Annealer(SaSchedule schedule);
 
   /// Runs the schedule; on return the caller's state holds the last
-  /// accepted configuration.
-  AnnealResult run(double initial_cost, const TryMove& try_move,
-                   const Undo& undo) const;
+  /// accepted configuration. `try_move(Rng&)` is a move proposal: it
+  /// perturbs the caller's state in place and returns the new total cost
+  /// as std::optional<double>, or nullopt when the sampled move is illegal
+  /// (state unchanged). `undo()` reverts the last successful try_move.
+  /// Both are called directly, so the proposal loop inlines them.
+  template <typename TryMove, typename Undo>
+  AnnealResult run(double initial_cost, TryMove&& try_move,
+                   Undo&& undo) const;
 
  private:
+  /// Telemetry names and the progress total, fixed for one run.
+  struct RunTelemetry {
+    std::string cooling_series;
+    long long total_steps = 0;
+  };
+
+  [[nodiscard]] RunTelemetry start_run() const;
+  /// Budget and fault gates plus the per-step telemetry of one
+  /// temperature step; false when the run must stop (result.stop says
+  /// why).
+  bool begin_step(const RunTelemetry& telemetry, double temperature,
+                  double cost, AnnealResult& result) const;
+  void finish_run(const AnnealResult& result) const;
+
   SaSchedule schedule_;
 };
+
+template <typename TryMove, typename Undo>
+AnnealResult Annealer::run(double initial_cost, TryMove&& try_move,
+                           Undo&& undo) const {
+  const obs::ScopedSpan span(schedule_.metric_prefix + ".anneal", "exchange");
+  const RunTelemetry telemetry = start_run();
+  Rng rng(schedule_.seed);
+  AnnealResult result;
+  result.initial_cost = initial_cost;
+  result.best_cost = initial_cost;
+
+  double cost = initial_cost;
+  for (double temperature = schedule_.initial_temperature;
+       temperature > schedule_.final_temperature;
+       temperature *= schedule_.cooling) {
+    if (!begin_step(telemetry, temperature, cost, result)) break;
+    for (int i = 0; i < schedule_.moves_per_temperature; ++i) {
+      // Inner-loop budget poll, every 64 proposals so huge
+      // moves_per_temperature settings still honour the deadline.
+      if (schedule_.cancel && (result.proposed & 63) == 0 &&
+          schedule_.cancel->expired()) {
+        result.stop = AnnealStop::BudgetExpired;
+        break;
+      }
+      ++result.proposed;
+      const std::optional<double> new_cost = try_move(rng);
+      if (!new_cost.has_value()) {
+        ++result.rejected_illegal;
+        continue;
+      }
+      const double delta = *new_cost - cost;
+      const bool accept =
+          delta <= 0.0 || rng.uniform() < std::exp(-delta / temperature);
+      if (accept) {
+        ++result.accepted;
+        cost = *new_cost;
+        result.best_cost = std::min(result.best_cost, cost);
+      } else {
+        undo();
+      }
+    }
+    if (result.stop != AnnealStop::Completed) break;
+  }
+  result.final_cost = cost;
+  finish_run(result);
+  return result;
+}
 
 }  // namespace fp

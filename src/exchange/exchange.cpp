@@ -185,8 +185,7 @@ ExchangeResult ExchangeOptimizer::optimize(
     position[static_cast<std::size_t>(b)] = IPoint{qi, left_finger + 1};
   };
 
-  const Annealer::TryMove try_move =
-      [&](Rng& rng) -> std::optional<double> {
+  const auto try_move = [&](Rng& rng) -> std::optional<double> {
     // Fig. 14 lines 4-7: pick any pad for stacking ICs, a power pad for 2-D.
     NetId chosen;
     if (stacking) {
@@ -228,7 +227,7 @@ ExchangeResult ExchangeOptimizer::optimize(
     return cost(current, id_tracker);
   };
 
-  const Annealer::Undo undo = [&]() {
+  const auto undo = [&]() {
     ensure(last.quadrant >= 0, "ExchangeOptimizer: undo without a move");
     apply_swap(last.quadrant, last.left);
     if (incremental) incremental->undo_last();

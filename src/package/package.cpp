@@ -40,12 +40,6 @@ Package::Package(std::string name, Netlist netlist, PackageGeometry geometry,
   die_edge_um_ = widest * 1.1 + 2.0 * geometry_.bump_space_um;
 }
 
-const Quadrant& Package::quadrant(int index) const {
-  require(index >= 0 && index < quadrant_count(),
-          "Package: quadrant index out of range");
-  return quadrants_[static_cast<std::size_t>(index)];
-}
-
 int Package::finger_count() const {
   int total = 0;
   for (const Quadrant& q : quadrants_) total += q.finger_count();

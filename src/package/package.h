@@ -8,6 +8,7 @@
 #include "netlist/netlist.h"
 #include "package/geometry.h"
 #include "package/quadrant.h"
+#include "util/error.h"
 
 namespace fp {
 
@@ -27,7 +28,11 @@ class Package {
   [[nodiscard]] int quadrant_count() const {
     return static_cast<int>(quadrants_.size());
   }
-  [[nodiscard]] const Quadrant& quadrant(int index) const;
+  [[nodiscard]] const Quadrant& quadrant(int index) const {
+    require(index >= 0 && index < quadrant_count(),
+            "Package: quadrant index out of range");
+    return quadrants_[static_cast<std::size_t>(index)];
+  }
   [[nodiscard]] const std::vector<Quadrant>& quadrants() const {
     return quadrants_;
   }

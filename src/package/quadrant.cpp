@@ -59,22 +59,6 @@ std::vector<NetId> Quadrant::all_nets() const {
   return out;
 }
 
-bool Quadrant::contains(NetId net) const {
-  if (net < min_net_) return false;
-  const std::size_t slot = static_cast<std::size_t>(net - min_net_);
-  return slot < bump_of_net_.size() && bump_of_net_[slot].x >= 0;
-}
-
-int Quadrant::net_row(NetId net) const {
-  require(contains(net), "Quadrant: net has no bump here");
-  return bump_of_net_[static_cast<std::size_t>(net - min_net_)].y;
-}
-
-int Quadrant::net_col(NetId net) const {
-  require(contains(net), "Quadrant: net has no bump here");
-  return bump_of_net_[static_cast<std::size_t>(net - min_net_)].x;
-}
-
 int Quadrant::local_index(NetId net) const {
   if (!contains(net)) return -1;
   const IPoint bump = bump_of_net_[static_cast<std::size_t>(net - min_net_)];

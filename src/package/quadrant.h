@@ -26,6 +26,7 @@
 #include "geom/point.h"
 #include "netlist/netlist.h"
 #include "package/geometry.h"
+#include "util/error.h"
 
 namespace fp {
 
@@ -64,11 +65,21 @@ class Quadrant {
   /// All nets of the quadrant (row-major, outermost row first).
   [[nodiscard]] std::vector<NetId> all_nets() const;
   /// True if `net` has its bump in this quadrant.
-  [[nodiscard]] bool contains(NetId net) const;
+  [[nodiscard]] bool contains(NetId net) const {
+    if (net < min_net_) return false;
+    const auto slot = static_cast<std::size_t>(net - min_net_);
+    return slot < bump_of_net_.size() && bump_of_net_[slot].x >= 0;
+  }
   /// Row of `net`'s bump; requires contains(net).
-  [[nodiscard]] int net_row(NetId net) const;
+  [[nodiscard]] int net_row(NetId net) const {
+    require(contains(net), "Quadrant: net has no bump here");
+    return bump_of_net_[static_cast<std::size_t>(net - min_net_)].y;
+  }
   /// Column of `net`'s bump; requires contains(net).
-  [[nodiscard]] int net_col(NetId net) const;
+  [[nodiscard]] int net_col(NetId net) const {
+    require(contains(net), "Quadrant: net has no bump here");
+    return bump_of_net_[static_cast<std::size_t>(net - min_net_)].x;
+  }
   /// Position of `net` in all_nets() order, in [0, net_count()); -1 when
   /// the net has no bump here (any id, negative or huge, is safe).
   [[nodiscard]] int local_index(NetId net) const;

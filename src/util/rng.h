@@ -7,11 +7,14 @@
 // properties and is much faster than std::mt19937_64.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <span>
 #include <utility>
 #include <vector>
+
+#include "util/error.h"
 
 namespace fp {
 
@@ -24,7 +27,17 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
   /// Raw 64 random bits.
-  std::uint64_t next();
+  std::uint64_t next() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   // UniformRandomBitGenerator interface (usable with <algorithm>/<random>).
   static constexpr result_type min() { return 0; }
@@ -34,19 +47,41 @@ class Rng {
   result_type operator()() { return next(); }
 
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
+    require(lo <= hi, "Rng::uniform_int: empty range");
+    const std::uint64_t span =
+        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
+    if (span == 0) {  // full 64-bit range
+      return static_cast<std::int64_t>(next());
+    }
+    // Rejection sampling for an unbiased result.
+    const std::uint64_t limit = max() - max() % span;
+    std::uint64_t v = next();
+    while (v >= limit) v = next();
+    return lo + static_cast<std::int64_t>(v % span);
+  }
 
   /// Uniform size_t index in [0, n). Requires n > 0.
-  std::size_t index(std::size_t n);
+  std::size_t index(std::size_t n) {
+    require(n > 0, "Rng::index: n must be positive");
+    return static_cast<std::size_t>(
+        uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  }
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 top bits -> double in [0, 1).
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
+  double uniform(double lo, double hi) {
+    require(lo <= hi, "Rng::uniform: empty range");
+    return lo + (hi - lo) * uniform();
+  }
 
   /// Bernoulli trial with success probability p.
-  bool chance(double p);
+  bool chance(double p) { return uniform() < p; }
 
   /// Standard normal via Box-Muller.
   double normal();

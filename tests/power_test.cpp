@@ -1,4 +1,4 @@
-// Tests of the power-grid IR-drop model: construction, all four solvers,
+// Tests of the power-grid IR-drop model: construction, all three solvers,
 // physical sanity (maximum principle, symmetry, monotonicity in pads), and
 // error paths.
 #include <gtest/gtest.h>
@@ -104,23 +104,58 @@ TEST(Solver, ZeroCurrentGivesFlatVdd) {
   EXPECT_NEAR(max_ir_drop(grid, result), 0.0, 1e-9);
 }
 
+constexpr SolverKind kAllKinds[] = {SolverKind::Sor,
+                                     SolverKind::ConjugateGradient,
+                                     SolverKind::Multigrid};
+
 TEST(Solver, MaximumPrinciple) {
   // With loads everywhere, every free node sits strictly below Vdd and
-  // above some positive floor; pads sit exactly at Vdd.
+  // above some positive floor; pads sit exactly at Vdd. Every back-end.
   PowerGrid grid(small_spec());
   grid.set_pads({{0, 0}, {15, 15}});
-  const SolveResult result = solve(grid);
-  ASSERT_TRUE(result.converged);
-  for (int y = 0; y < 16; ++y) {
-    for (int x = 0; x < 16; ++x) {
-      const double v = result.voltage(static_cast<std::size_t>(x),
-                                      static_cast<std::size_t>(y));
-      if (grid.is_pad(x, y)) {
-        EXPECT_DOUBLE_EQ(v, 1.0);
-      } else {
-        EXPECT_LT(v, 1.0);
-        EXPECT_GT(v, 0.0);
+  for (const SolverKind kind : kAllKinds) {
+    SolverOptions options;
+    options.kind = kind;
+    const SolveResult result = solve(grid, options);
+    ASSERT_TRUE(result.converged) << to_string(kind);
+    for (int y = 0; y < 16; ++y) {
+      for (int x = 0; x < 16; ++x) {
+        const double v = result.voltage(static_cast<std::size_t>(x),
+                                        static_cast<std::size_t>(y));
+        if (grid.is_pad(x, y)) {
+          EXPECT_DOUBLE_EQ(v, 1.0) << to_string(kind);
+        } else {
+          EXPECT_LT(v, 1.0) << to_string(kind);
+          EXPECT_GT(v, 0.0) << to_string(kind);
+        }
       }
+    }
+  }
+}
+
+TEST(Solver, WarmStartAgreesWithColdEveryKind) {
+  // A warm re-solve after a pad move reaches the same field as a cold
+  // solve, within the tolerance, on every back-end.
+  PowerGrid before(small_spec());
+  before.add_hotspot({0.1, 0.6, 0.5, 0.9}, 4.0);
+  before.set_pads({{0, 0}, {15, 7}, {3, 15}});
+  PowerGrid after = before;
+  after.set_pads({{0, 1}, {15, 7}, {3, 15}});
+  for (const SolverKind kind : kAllKinds) {
+    SolverOptions options;
+    options.kind = kind;
+    options.tolerance = 1e-10;
+    const SolveResult seed = solve(before, options);
+    const SolveResult cold = solve(after, options);
+    options.warm_start = &seed.voltage;
+    const SolveResult warm = solve(after, options);
+    ASSERT_TRUE(cold.converged) << to_string(kind);
+    ASSERT_TRUE(warm.converged) << to_string(kind);
+    EXPECT_TRUE(warm.warm_started) << to_string(kind);
+    EXPECT_FALSE(cold.warm_started) << to_string(kind);
+    for (std::size_t i = 0; i < warm.voltage.data().size(); ++i) {
+      EXPECT_NEAR(warm.voltage.data()[i], cold.voltage.data()[i], 1e-6)
+          << to_string(kind) << " node " << i;
     }
   }
 }
@@ -210,7 +245,7 @@ TEST(Solver, AllPadsGridIsFlat) {
   EXPECT_NEAR(max_ir_drop(grid, result), 0.0, 1e-12);
 }
 
-// All four back-ends agree on the same field.
+// All three back-ends agree on the same field.
 class SolverAgreement : public ::testing::TestWithParam<SolverKind> {};
 
 TEST_P(SolverAgreement, MatchesConjugateGradient) {
@@ -236,11 +271,7 @@ TEST_P(SolverAgreement, MatchesConjugateGradient) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, SolverAgreement,
-                         ::testing::Values(SolverKind::Jacobi,
-                                           SolverKind::GaussSeidel,
-                                           SolverKind::Sor,
-                                           SolverKind::ConjugateGradient,
-                                           SolverKind::Multigrid));
+                         ::testing::ValuesIn(kAllKinds));
 
 TEST(Solver, MultigridCycleCountScalesMildly) {
   // The V-cycle count must grow far slower than the Krylov iteration
@@ -262,25 +293,25 @@ TEST(Solver, MultigridCycleCountScalesMildly) {
   EXPECT_LE(cycles48, cycles16 * 4);
 }
 
-TEST(Solver, CgConvergesFasterThanJacobi) {
+TEST(Solver, CgConvergesFasterThanSor) {
   PowerGrid grid(small_spec());
   grid.set_pads({{0, 0}});
   SolverOptions cg;
   cg.kind = SolverKind::ConjugateGradient;
-  SolverOptions jacobi;
-  jacobi.kind = SolverKind::Jacobi;
+  SolverOptions sor;
+  sor.kind = SolverKind::Sor;
   const SolveResult cg_result = solve(grid, cg);
-  const SolveResult jacobi_result = solve(grid, jacobi);
+  const SolveResult sor_result = solve(grid, sor);
   ASSERT_TRUE(cg_result.converged);
-  ASSERT_TRUE(jacobi_result.converged);
-  EXPECT_LT(cg_result.iterations, jacobi_result.iterations);
+  ASSERT_TRUE(sor_result.converged);
+  EXPECT_LT(cg_result.iterations, sor_result.iterations);
 }
 
 TEST(Solver, ReportsNonConvergenceHonestly) {
   PowerGrid grid(small_spec());
   grid.set_pads({{0, 0}});
   SolverOptions options;
-  options.kind = SolverKind::Jacobi;
+  options.kind = SolverKind::Sor;
   options.max_iterations = 2;
   options.tolerance = 1e-12;
   const SolveResult result = solve(grid, options);
@@ -298,9 +329,7 @@ TEST(SolverParallel, BitIdenticalAcrossThreadCounts) {
   PowerGrid grid(spec);
   grid.set_pads({{0, 0}, {95, 40}, {20, 95}, {60, 3}});
   const int saved_threads = exec::default_threads();
-  for (const SolverKind kind :
-       {SolverKind::Jacobi, SolverKind::GaussSeidel, SolverKind::Sor,
-        SolverKind::ConjugateGradient, SolverKind::Multigrid}) {
+  for (const SolverKind kind : kAllKinds) {
     SolverOptions options;
     options.kind = kind;
     options.tolerance = 1e-8;

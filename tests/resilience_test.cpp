@@ -240,7 +240,13 @@ TEST_F(ResilienceTest, AllBackendsDivergingThrowsSolverError) {
     const std::string what = error.what();
     EXPECT_NE(what.find("cg("), std::string::npos) << what;
     EXPECT_NE(what.find("sor("), std::string::npos) << what;
-    EXPECT_NE(what.find("gauss_seidel("), std::string::npos) << what;
+    // ... and no other: the chain is cg -> sor.
+    std::size_t attempts = 0;
+    for (std::size_t at = what.find("(iter "); at != std::string::npos;
+         at = what.find("(iter ", at + 1)) {
+      ++attempts;
+    }
+    EXPECT_EQ(attempts, 2u) << what;
   }
 }
 
