@@ -103,10 +103,10 @@ std::vector<ChunkRange> partition(std::size_t n, std::size_t grain) {
   return chunks;
 }
 
-void parallel_for(std::size_t n, std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  const std::vector<ChunkRange> chunks = partition(n, grain);
+void parallel_for(
+    const std::vector<ChunkRange>& chunks,
+    const std::function<void(std::size_t, const ChunkRange&)>& body) {
+  if (chunks.empty()) return;
   int threads = 1;
   ThreadPool* pool =
       in_parallel_region() ? nullptr : shared_pool(threads);
@@ -115,11 +115,11 @@ void parallel_for(std::size_t n, std::size_t grain,
   const auto chunk_body = [&](std::size_t i) {
     if (instrument) {
       const Timer timer;
-      body(chunks[i].begin, chunks[i].end);
+      body(i, chunks[i]);
       busy_us.fetch_add(static_cast<long long>(timer.seconds() * 1e6),
                         std::memory_order_relaxed);
     } else {
-      body(chunks[i].begin, chunks[i].end);
+      body(i, chunks[i]);
     }
   };
   if (pool == nullptr || chunks.size() <= 1) {
@@ -130,37 +130,43 @@ void parallel_for(std::size_t n, std::size_t grain,
   if (instrument) record_region(chunks.size(), busy_us.load(), threads);
 }
 
+void parallel_for(std::size_t n, std::size_t grain,
+                  const std::function<void(std::size_t, std::size_t)>& body) {
+  parallel_for(partition(n, grain),
+               [&](std::size_t, const ChunkRange& range) {
+                 body(range.begin, range.end);
+               });
+}
+
+std::array<double, 2> parallel_sum2(
+    const std::vector<ChunkRange>& chunks,
+    const std::function<std::array<double, 2>(std::size_t, std::size_t)>&
+        partial) {
+  std::vector<std::array<double, 2>> partials(chunks.size());
+  parallel_for(chunks, [&](std::size_t i, const ChunkRange& range) {
+    partials[i] = partial(range.begin, range.end);
+  });
+  // Canonical combine: chunk-index order, independent of scheduling.
+  std::array<double, 2> total{0.0, 0.0};
+  for (const std::array<double, 2>& value : partials) {
+    total[0] += value[0];
+    total[1] += value[1];
+  }
+  return total;
+}
+
+double parallel_sum(
+    const std::vector<ChunkRange>& chunks,
+    const std::function<double(std::size_t, std::size_t)>& partial) {
+  return parallel_sum2(chunks, [&](std::size_t begin, std::size_t end) {
+    return std::array<double, 2>{partial(begin, end), 0.0};
+  })[0];
+}
+
 double parallel_sum(
     std::size_t n, std::size_t grain,
     const std::function<double(std::size_t, std::size_t)>& partial) {
-  if (n == 0) return 0.0;
-  const std::vector<ChunkRange> chunks = partition(n, grain);
-  int threads = 1;
-  ThreadPool* pool =
-      in_parallel_region() ? nullptr : shared_pool(threads);
-  const bool instrument = obs::metrics_enabled();
-  std::atomic<long long> busy_us{0};
-  std::vector<double> partials(chunks.size(), 0.0);
-  const auto chunk_body = [&](std::size_t i) {
-    if (instrument) {
-      const Timer timer;
-      partials[i] = partial(chunks[i].begin, chunks[i].end);
-      busy_us.fetch_add(static_cast<long long>(timer.seconds() * 1e6),
-                        std::memory_order_relaxed);
-    } else {
-      partials[i] = partial(chunks[i].begin, chunks[i].end);
-    }
-  };
-  if (pool == nullptr || chunks.size() <= 1) {
-    for (std::size_t i = 0; i < chunks.size(); ++i) chunk_body(i);
-  } else {
-    pool->run(chunks.size(), chunk_body);
-  }
-  // Canonical combine: chunk-index order, independent of scheduling.
-  double total = 0.0;
-  for (const double value : partials) total += value;
-  if (instrument) record_region(chunks.size(), busy_us.load(), threads);
-  return total;
+  return parallel_sum(partition(n, grain), partial);
 }
 
 void parallel_tasks(std::size_t count,

@@ -27,6 +27,7 @@
 // time. Disarmed, instrumentation costs one relaxed atomic load.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <functional>
 #include <vector>
@@ -62,17 +63,35 @@ struct ChunkRange {
 [[nodiscard]] std::vector<ChunkRange> partition(std::size_t n,
                                                 std::size_t grain);
 
-/// Runs body(begin, end) over every chunk of partition(n, grain),
+/// Runs body(i, chunks[i]) for every chunk of an explicit chunk list,
 /// distributing chunks over the pool (inline at threads=1 or when
 /// nested). Chunks must be independent: the body may write only to
 /// per-index or per-chunk state.
+void parallel_for(
+    const std::vector<ChunkRange>& chunks,
+    const std::function<void(std::size_t, const ChunkRange&)>& body);
+
+/// parallel_for over partition(n, grain): body(begin, end) per chunk.
 void parallel_for(std::size_t n, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& body);
 
-/// Ordered (deterministic) reduction: partial(begin, end) is evaluated
-/// per chunk and the partials are summed in chunk-index order. The same
-/// chunking runs inline at threads=1, so the result is bit-identical at
-/// every thread count.
+/// Ordered (deterministic) reduction over an explicit chunk list:
+/// partial(begin, end) is evaluated per chunk and the partials are
+/// summed in chunk-index order. The same chunking runs inline at
+/// threads=1, so the result is bit-identical at every thread count.
+[[nodiscard]] double parallel_sum(
+    const std::vector<ChunkRange>& chunks,
+    const std::function<double(std::size_t, std::size_t)>& partial);
+
+/// Two ordered reductions in one pass: partial(begin, end) returns both
+/// chunk partials, and each is combined exactly as parallel_sum combines
+/// its own.
+[[nodiscard]] std::array<double, 2> parallel_sum2(
+    const std::vector<ChunkRange>& chunks,
+    const std::function<std::array<double, 2>(std::size_t, std::size_t)>&
+        partial);
+
+/// parallel_sum over partition(n, grain).
 [[nodiscard]] double parallel_sum(
     std::size_t n, std::size_t grain,
     const std::function<double(std::size_t, std::size_t)>& partial);

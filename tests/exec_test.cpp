@@ -4,6 +4,7 @@
 // inside parallel regions.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -96,6 +97,56 @@ TEST(ExecParallelSum, BitIdenticalAcrossThreadCounts) {
     exec::set_default_threads(threads);
     const double total = exec::parallel_sum(values.size(), 1024, partial);
     EXPECT_EQ(total, expected) << "threads=" << threads;
+  }
+}
+
+TEST(ExecParallelSum, ChunkListOverloadsCombineInChunkOrder) {
+  const ThreadGuard guard;
+  std::vector<double> values(20'000);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = std::cos(static_cast<double>(i)) * 1e5 /
+                (static_cast<double>(i) + 3.0);
+  }
+  // Uneven explicit chunks, as a caller mapping its own index space
+  // (the solver's free-node chunks over halo cells) would build.
+  const std::vector<exec::ChunkRange> chunks{
+      {0, 7}, {7, 5000}, {5000, 5001}, {5001, 12'345}, {12'345, 20'000}};
+  const auto partial = [&](std::size_t begin, std::size_t end) {
+    double acc = 0.0;
+    for (std::size_t i = begin; i < end; ++i) acc += values[i];
+    return acc;
+  };
+  const auto squares = [&](std::size_t begin, std::size_t end) {
+    double acc = 0.0;
+    for (std::size_t i = begin; i < end; ++i) acc += values[i] * values[i];
+    return acc;
+  };
+  double expected = 0.0;
+  double expected_sq = 0.0;
+  for (const exec::ChunkRange& c : chunks) {
+    expected += partial(c.begin, c.end);
+    expected_sq += squares(c.begin, c.end);
+  }
+  for (const int threads : {1, 2, 8}) {
+    exec::set_default_threads(threads);
+    EXPECT_EQ(exec::parallel_sum(chunks, partial), expected)
+        << "threads=" << threads;
+    const std::array<double, 2> both = exec::parallel_sum2(
+        chunks, [&](std::size_t begin, std::size_t end) {
+          return std::array<double, 2>{partial(begin, end),
+                                       squares(begin, end)};
+        });
+    EXPECT_EQ(both[0], expected) << "threads=" << threads;
+    EXPECT_EQ(both[1], expected_sq) << "threads=" << threads;
+    EXPECT_EQ(exec::parallel_sum(exec::partition(values.size(), 1024),
+                                 partial),
+              exec::parallel_sum(values.size(), 1024, partial))
+        << "threads=" << threads;
+    std::vector<std::size_t> seen(chunks.size(), chunks.size());
+    exec::parallel_for(chunks, [&](std::size_t i, const exec::ChunkRange& r) {
+      if (r.begin == chunks[i].begin && r.end == chunks[i].end) seen[i] = i;
+    });
+    for (std::size_t i = 0; i < chunks.size(); ++i) EXPECT_EQ(seen[i], i);
   }
 }
 
