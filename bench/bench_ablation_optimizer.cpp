@@ -1,8 +1,8 @@
 // Ablation: the Fig.-14 simulated annealing vs the deterministic greedy
-// baseline, across the three IR cost modes (ring-dispersion proxy,
-// calibrated compact model, exact mesh solves). Reports the *full-solve*
-// IR improvement each combination actually delivers, plus runtime --
-// justifying the paper's choice of a cheap in-loop cost.
+// baseline, across the two IR cost modes (ring-dispersion proxy, exact
+// mesh solves). Reports the *full-solve* IR improvement each combination
+// actually delivers, plus runtime -- justifying the paper's choice of a
+// cheap in-loop cost.
 #include <cstdio>
 
 #include "assign/dfa.h"
@@ -21,8 +21,6 @@ const char* mode_name(IrCostMode mode) {
   switch (mode) {
     case IrCostMode::Proxy:
       return "proxy";
-    case IrCostMode::Compact:
-      return "compact";
     case IrCostMode::Exact:
       return "exact";
   }
@@ -44,8 +42,7 @@ int main() {
   TablePrinter table({"optimizer", "IR mode", "full-solve IR impr (%)",
                       "runtime (s)", "moves evaluated"});
 
-  for (const IrCostMode mode :
-       {IrCostMode::Proxy, IrCostMode::Compact, IrCostMode::Exact}) {
+  for (const IrCostMode mode : {IrCostMode::Proxy, IrCostMode::Exact}) {
     // --- simulated annealing ---------------------------------------------
     {
       ExchangeOptions options = bench::standard_exchange();

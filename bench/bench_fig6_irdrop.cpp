@@ -93,9 +93,8 @@ int main(int argc, char** argv) {
   std::set<int> in_use(plan.begin(), plan.end());
   struct Move {
     std::size_t index = 0;
-    int old_slot = 0;
     int new_slot = 0;
-  } last;
+  } move;
   SaSchedule schedule;
   schedule.initial_temperature = 0.004;
   schedule.final_temperature = 1e-5;
@@ -109,16 +108,18 @@ int main(int argc, char** argv) {
         const std::size_t index = r.index(plan.size());
         const int target = static_cast<int>(r.index(kRingSlots));
         if (in_use.count(target)) return std::nullopt;
-        last = Move{index, plan[index], target};
-        in_use.erase(plan[index]);
-        in_use.insert(target);
+        move = Move{index, target};
+        // Score the moved plan, then put the pad back.
+        const int old_slot = plan[index];
         plan[index] = target;
-        return score(grid, plan);
+        const double drop = score(grid, plan);
+        plan[index] = old_slot;
+        return drop;
       },
       [&]() {
-        in_use.erase(last.new_slot);
-        in_use.insert(last.old_slot);
-        plan[last.index] = last.old_slot;
+        in_use.erase(plan[move.index]);
+        in_use.insert(move.new_slot);
+        plan[move.index] = move.new_slot;
       });
   const double optimized_drop = score(grid, plan);
 

@@ -94,15 +94,11 @@ BENCHMARK(BM_Assigner<DfaAssigner>)
     ->Arg(3072)
     ->Arg(6144);
 
-/// One item is one IncrementalCost apply_swap + undo_last pair, cycling
-/// through the DFA start's legal adjacent swaps in a fixed shuffled
-/// order, so items_per_second shows whether the Eq.-(3) swap delta stays
-/// flat in alpha.
-void BM_IncrementalSwap(benchmark::State& state) {
-  const Package& package = sized_circuit(static_cast<int>(state.range(0)),
-                                         static_cast<int>(state.range(1)));
-  const PackageAssignment initial = DfaAssigner().assign(package);
-  std::vector<std::pair<int, int>> swaps;  // (quadrant, left finger)
+/// The DFA start's legal adjacent swaps (quadrant, left finger), in a
+/// fixed shuffled order.
+std::vector<std::pair<int, int>> legal_swaps(
+    const Package& package, const PackageAssignment& initial) {
+  std::vector<std::pair<int, int>> swaps;
   for (int qi = 0; qi < package.quadrant_count(); ++qi) {
     const Quadrant& q = package.quadrant(qi);
     const auto& order = initial.quadrants[static_cast<std::size_t>(qi)].order;
@@ -113,18 +109,52 @@ void BM_IncrementalSwap(benchmark::State& state) {
     }
   }
   Rng(1).shuffle(swaps);
-  IncrementalCost cost(package, initial, 20.0, 2.0, 1.0);
+  return swaps;
+}
+
+/// One item is one IncrementalCost::cost_after_swap (the SA loop's
+/// score of a proposal) on the DFA start, cycling through its legal
+/// swaps, so items_per_second shows whether the peek stays flat in alpha.
+void BM_IncrementalPeek(benchmark::State& state) {
+  const Package& package = sized_circuit(static_cast<int>(state.range(0)),
+                                         static_cast<int>(state.range(1)));
+  const PackageAssignment initial = DfaAssigner().assign(package);
+  const std::vector<std::pair<int, int>> swaps =
+      legal_swaps(package, initial);
+  const IncrementalCost cost(package, initial, 20.0, 2.0, 1.0);
   std::size_t next = 0;
   for (auto _ : state) {
     const auto [quadrant, left] = swaps[next];
     if (++next == swaps.size()) next = 0;
-    cost.apply_swap(quadrant, left);
-    benchmark::DoNotOptimize(cost.current());
-    cost.undo_last();
+    benchmark::DoNotOptimize(cost.cost_after_swap(quadrant, left));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_IncrementalSwap)
+BENCHMARK(BM_IncrementalPeek)
+    ->ArgsProduct({{0, 1, 2, 3, 4, 1536, 6144}, {1, 2}})
+    ->ArgNames({"circuit", "psi"});
+
+/// One item is one IncrementalCost::apply_swap + current() (the SA
+/// loop's commit of an accepted proposal). Each swap is applied twice in
+/// a row, the second time reverting it, so the walk stays on the DFA
+/// start's legal swaps.
+void BM_IncrementalCommit(benchmark::State& state) {
+  const Package& package = sized_circuit(static_cast<int>(state.range(0)),
+                                         static_cast<int>(state.range(1)));
+  const PackageAssignment initial = DfaAssigner().assign(package);
+  const std::vector<std::pair<int, int>> swaps =
+      legal_swaps(package, initial);
+  IncrementalCost cost(package, initial, 20.0, 2.0, 1.0);
+  std::size_t item = 0;
+  for (auto _ : state) {
+    const auto [quadrant, left] = swaps[item / 2 % swaps.size()];
+    ++item;
+    cost.apply_swap(quadrant, left);
+    benchmark::DoNotOptimize(cost.current());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_IncrementalCommit)
     ->ArgsProduct({{0, 1, 2, 3, 4, 1536, 6144}, {1, 2}})
     ->ArgNames({"circuit", "psi"});
 

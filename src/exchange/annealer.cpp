@@ -1,6 +1,7 @@
 #include "exchange/annealer.h"
 
 #include <cmath>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/progress.h"
@@ -71,18 +72,10 @@ bool Annealer::begin_step(const RunTelemetry& telemetry, double temperature,
     return false;
   }
   ++result.temperature_steps;
-  // One sample per recorded temperature step, fanned out to every sink:
-  // the AnnealResult::trace shim (record_every callers), the metrics
-  // series, and the trace counter track. The trace counter fires every
-  // step so a Perfetto view always shows the full cooling curve.
-  const bool record_shim =
-      schedule_.record_every > 0 &&
-      (result.temperature_steps - 1) % schedule_.record_every == 0;
-  if (record_shim) {
-    result.trace.push_back(AnnealSample{temperature, cost, result.accepted});
-  }
-  if (obs::metrics_enabled() &&
-      (record_shim || schedule_.record_every <= 0)) {
+  // One sample per temperature step, fanned out to every sink: the
+  // metrics series and the trace counter track (so a Perfetto view shows
+  // the full cooling curve).
+  if (obs::metrics_enabled()) {
     obs::sample(telemetry.cooling_series, cooling_columns(),
                 {temperature, cost, static_cast<double>(result.accepted)});
   }

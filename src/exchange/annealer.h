@@ -14,7 +14,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/trace.h"
 #include "util/cancel.h"
@@ -36,9 +35,6 @@ struct SaSchedule {
   /// wins, ties broken by the lowest replica index, so the winner is the
   /// same at every thread count. 1 = plain single-run annealing.
   int restarts = 1;
-  /// When > 0, one (temperature, cost) sample is recorded every
-  /// `record_every` temperature steps (for convergence plots).
-  int record_every = 0;
   /// Prefix for every metric and trace-counter name this run emits
   /// ("sa" -> "sa.runs", "sa.cooling", ...). Multi-start drivers set
   /// "sa.replica<i>" per replica so concurrent replicas never alias one
@@ -60,18 +56,6 @@ enum class AnnealStop {
 
 [[nodiscard]] std::string_view to_string(AnnealStop stop);
 
-/// One point of the recorded cooling curve.
-///
-/// Back-compat shim: the canonical sink for cooling-curve samples is now
-/// the observability layer (metrics series "sa.cooling" and trace counter
-/// "sa", see obs/metrics.h and docs/OBSERVABILITY.md); AnnealResult::trace
-/// is kept so existing callers of record_every keep working.
-struct AnnealSample {
-  double temperature = 0.0;
-  double cost = 0.0;
-  long long accepted = 0;
-};
-
 struct AnnealResult {
   double initial_cost = 0.0;
   double final_cost = 0.0;
@@ -84,8 +68,6 @@ struct AnnealResult {
   /// run degraded to its best-so-far state (the caller's state is still a
   /// legal configuration -- every accepted move kept the invariants).
   AnnealStop stop = AnnealStop::Completed;
-  /// Non-empty when SaSchedule::record_every > 0.
-  std::vector<AnnealSample> trace;
 };
 
 class Annealer {
@@ -93,14 +75,16 @@ class Annealer {
   explicit Annealer(SaSchedule schedule);
 
   /// Runs the schedule; on return the caller's state holds the last
-  /// accepted configuration. `try_move(Rng&)` is a move proposal: it
-  /// perturbs the caller's state in place and returns the new total cost
-  /// as std::optional<double>, or nullopt when the sampled move is illegal
-  /// (state unchanged). `undo()` reverts the last successful try_move.
-  /// Both are called directly, so the proposal loop inlines them.
-  template <typename TryMove, typename Undo>
-  AnnealResult run(double initial_cost, TryMove&& try_move,
-                   Undo&& undo) const;
+  /// accepted configuration. `propose(Rng&)` samples a move and returns
+  /// the total cost the caller's state would have after it, as
+  /// std::optional<double>, or nullopt when the sampled move is illegal;
+  /// either way it leaves the state as it found it. `commit()` applies the
+  /// most recent proposal and runs only when that proposal is accepted,
+  /// so a rejected move costs no write and needs no undo. Both are called
+  /// directly, so the proposal loop inlines them.
+  template <typename Propose, typename Commit>
+  AnnealResult run(double initial_cost, Propose&& propose,
+                   Commit&& commit) const;
 
  private:
   /// Telemetry names and the progress total, fixed for one run.
@@ -120,9 +104,9 @@ class Annealer {
   SaSchedule schedule_;
 };
 
-template <typename TryMove, typename Undo>
-AnnealResult Annealer::run(double initial_cost, TryMove&& try_move,
-                           Undo&& undo) const {
+template <typename Propose, typename Commit>
+AnnealResult Annealer::run(double initial_cost, Propose&& propose,
+                           Commit&& commit) const {
   const obs::ScopedSpan span(schedule_.metric_prefix + ".anneal", "exchange");
   const RunTelemetry telemetry = start_run();
   Rng rng(schedule_.seed);
@@ -144,20 +128,26 @@ AnnealResult Annealer::run(double initial_cost, TryMove&& try_move,
         break;
       }
       ++result.proposed;
-      const std::optional<double> new_cost = try_move(rng);
+      const std::optional<double> new_cost = propose(rng);
       if (!new_cost.has_value()) {
         ++result.rejected_illegal;
         continue;
       }
       const double delta = *new_cost - cost;
-      const bool accept =
-          delta <= 0.0 || rng.uniform() < std::exp(-delta / temperature);
+      bool accept = delta <= 0.0;
+      if (!accept) {
+        // Metropolis: accept when u < exp(x). Below x = -40, exp(x) is
+        // under 2^-57 while every nonzero u is at least 2^-53, so only
+        // u == 0 can pass, and only then is exp worth its cost.
+        const double x = -delta / temperature;
+        const double u = rng.uniform();
+        accept = (x >= -40.0 || u == 0.0) && u < std::exp(x);
+      }
       if (accept) {
         ++result.accepted;
         cost = *new_cost;
         result.best_cost = std::min(result.best_cost, cost);
-      } else {
-        undo();
+        commit();
       }
     }
     if (result.stop != AnnealStop::Completed) break;

@@ -1,7 +1,6 @@
 #include "exchange/exchange.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -9,8 +8,6 @@
 #include "exchange/incremental_cost.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-
-#include "power/compact_model.h"
 #include "power/ir_analysis.h"
 #include "power/pad_ring.h"
 #include "route/legality.h"
@@ -35,18 +32,6 @@ double ExchangeOptimizer::ir_cost(const PackageAssignment& assignment) const {
     // 1) so the published default weights remain sensible in both modes.
     return report.max_drop_v / std::max(1e-12, options_.grid_spec.vdd) * 10.0;
   }
-  if (options_.ir_mode == IrCostMode::Compact) {
-    const PadRing ring(*package_, options_.grid_spec.nodes_per_side);
-    const std::vector<IPoint> nodes = ring.supply_nodes(assignment);
-    if (nodes.empty()) return 0.0;
-    if (!compact_) {
-      compact_ =
-          std::make_unique<CompactIrModel>(PowerGrid(options_.grid_spec));
-      compact_->calibrate(nodes, options_.solver);
-    }
-    return compact_->estimate_max_drop(nodes) /
-           std::max(1e-12, options_.grid_spec.vdd) * 10.0;
-  }
   // A stacking design without supply nets has nothing for the IR term to
   // optimise; the cost then reduces to rho*ID + phi*omega.
   if (package_->netlist().supply_nets().empty()) return 0.0;
@@ -68,12 +53,12 @@ ExchangeResult ExchangeOptimizer::optimize_multistart(
   require(starts >= 1, "optimize_multistart: starts must be positive");
   if (starts == 1) return optimize(initial);
   // Replicas are fully independent: each gets its own ExchangeOptimizer
-  // (so the mutable compact-model cache and the incremental-cost state
-  // stay replica-local), its own seed, and its own "sa.replica<i>" metric
-  // namespace -- concurrent replicas previously aliased one another's
-  // "sa.*" counters and the exported numbers were a thread-count-dependent
-  // jumble of all replicas. Results land in a slot keyed by replica index,
-  // so the selection below never depends on which worker finished first.
+  // (so the incremental-cost state stays replica-local), its own seed,
+  // and its own "sa.replica<i>" metric namespace -- concurrent replicas
+  // previously aliased one another's "sa.*" counters and the exported
+  // numbers were a thread-count-dependent jumble of all replicas. Results
+  // land in a slot keyed by replica index, so the selection below never
+  // depends on which worker finished first.
   std::vector<std::optional<ExchangeResult>> results(
       static_cast<std::size_t>(starts));
   exec::parallel_tasks(
@@ -147,59 +132,48 @@ ExchangeResult ExchangeOptimizer::optimize(
           "ExchangeOptimizer: 2-D exchange moves need at least one supply "
           "net (Fig. 14 line 7)");
 
-  PackageAssignment current = initial;
   const IncreasedDensity id_tracker(*package_, initial);
 
-  // Proxy mode evaluates Eq. (3) incrementally (O(1) per swap, O(psi)
-  // for omega) through IncrementalCost (the same delta path the
-  // DesignSession of src/session/ drives); Compact/Exact modes re-solve
-  // their IR term anyway.
-  std::optional<IncrementalCost> incremental;
-  if (options_.ir_mode == IrCostMode::Proxy) {
-    incremental.emplace(*package_, initial, options_.lambda, options_.rho,
+  // The evolving order lives in IncrementalCost, which scores a Proxy-mode
+  // proposal in O(1) (O(psi) for omega) without applying it (the same
+  // delta path the DesignSession of src/session/ drives); Exact mode
+  // re-solves its IR term anyway.
+  IncrementalCost state(*package_, initial, options_.lambda, options_.rho,
                         options_.phi);
-  }
+  const auto& quadrants = state.assignment().quadrants;
 
-  // net -> (quadrant, finger) position index, maintained across swaps.
-  std::vector<IPoint> position(netlist.size(), IPoint{-1, -1});
-  for (int qi = 0; qi < package_->quadrant_count(); ++qi) {
-    const auto& order =
-        current.quadrants[static_cast<std::size_t>(qi)].order;
-    for (int a = 0; a < static_cast<int>(order.size()); ++a) {
-      position[static_cast<std::size_t>(order[static_cast<std::size_t>(a)])] =
-          IPoint{qi, a};
+  // Fig. 14 lines 4-7: pick any pad for stacking ICs, a power pad for 2-D.
+  // A stacking pick draws (quadrant, finger), which is the position; a 2-D
+  // pick draws a supply net and looks its position up.
+  std::vector<IndexDraw> finger_draw;
+  std::vector<IPoint> position;  // 2-D: net -> (quadrant, finger)
+  const IndexDraw pick_draw(stacking ? quadrants.size() : supply.size());
+  if (stacking) {
+    for (const QuadrantAssignment& q : quadrants) {
+      finger_draw.emplace_back(q.order.size());
+    }
+  } else {
+    position.assign(netlist.size(), IPoint{-1, -1});
+    for (int qi = 0; qi < package_->quadrant_count(); ++qi) {
+      const auto& order = quadrants[static_cast<std::size_t>(qi)].order;
+      for (int a = 0; a < static_cast<int>(order.size()); ++a) {
+        position[static_cast<std::size_t>(
+            order[static_cast<std::size_t>(a)])] = IPoint{qi, a};
+      }
     }
   }
 
-  struct LastMove {
-    int quadrant = -1;
-    int left = -1;  // finger index of the left element of the swapped pair
-  } last;
-
-  const auto apply_swap = [&](int qi, int left_finger) {
-    auto& order = current.quadrants[static_cast<std::size_t>(qi)].order;
-    NetId& a = order[static_cast<std::size_t>(left_finger)];
-    NetId& b = order[static_cast<std::size_t>(left_finger + 1)];
-    std::swap(a, b);
-    position[static_cast<std::size_t>(a)] = IPoint{qi, left_finger};
-    position[static_cast<std::size_t>(b)] = IPoint{qi, left_finger + 1};
-  };
-
-  const auto try_move = [&](Rng& rng) -> std::optional<double> {
-    // Fig. 14 lines 4-7: pick any pad for stacking ICs, a power pad for 2-D.
-    NetId chosen;
+  IPoint move;  // the last proposal: (quadrant, left finger)
+  const auto propose = [&](Rng& rng) -> std::optional<double> {
+    IPoint pos;
     if (stacking) {
-      const int qi =
-          static_cast<int>(rng.index(current.quadrants.size()));
-      const auto& order =
-          current.quadrants[static_cast<std::size_t>(qi)].order;
-      chosen = order[rng.index(order.size())];
+      const std::size_t qi = pick_draw(rng);
+      pos = IPoint{static_cast<int>(qi),
+                   static_cast<int>(finger_draw[qi](rng))};
     } else {
-      chosen = supply[rng.index(supply.size())];
+      pos = position[static_cast<std::size_t>(supply[pick_draw(rng)])];
     }
-    const IPoint pos = position[static_cast<std::size_t>(chosen)];
-    const auto& order =
-        current.quadrants[static_cast<std::size_t>(pos.x)].order;
+    const auto& order = quadrants[static_cast<std::size_t>(pos.x)].order;
     const int size = static_cast<int>(order.size());
     if (size < 2) return std::nullopt;
 
@@ -212,25 +186,31 @@ ExchangeResult ExchangeOptimizer::optimize(
     // Range constraint: two nets bumped on the same row must keep their
     // via order, so their adjacent swap is illegal.
     const Quadrant& quadrant = package_->quadrant(pos.x);
-    const NetId lnet = order[static_cast<std::size_t>(left)];
-    const NetId rnet = order[static_cast<std::size_t>(left + 1)];
-    if (quadrant.net_row(lnet) == quadrant.net_row(rnet)) {
+    if (quadrant.net_row(order[static_cast<std::size_t>(left)]) ==
+        quadrant.net_row(order[static_cast<std::size_t>(left + 1)])) {
       return std::nullopt;
     }
 
-    apply_swap(pos.x, left);
-    last = LastMove{pos.x, left};
-    if (incremental) {
-      incremental->apply_swap(pos.x, left);
-      return incremental->current();
+    move = IPoint{pos.x, left};
+    if (options_.ir_mode == IrCostMode::Proxy) {
+      return state.cost_after_swap(pos.x, left);
     }
-    return cost(current, id_tracker);
+    // Exact: score the swapped order, then swap back (an adjacent swap is
+    // its own inverse).
+    state.apply_swap(pos.x, left);
+    const double swapped = cost(state.assignment(), id_tracker);
+    state.apply_swap(pos.x, left);
+    return swapped;
   };
 
-  const auto undo = [&]() {
-    ensure(last.quadrant >= 0, "ExchangeOptimizer: undo without a move");
-    apply_swap(last.quadrant, last.left);
-    if (incremental) incremental->undo_last();
+  const auto commit = [&]() {
+    state.apply_swap(move.x, move.y);
+    if (stacking) return;
+    const auto& order = quadrants[static_cast<std::size_t>(move.x)].order;
+    for (const int finger : {move.y, move.y + 1}) {
+      position[static_cast<std::size_t>(
+          order[static_cast<std::size_t>(finger)])] = IPoint{move.x, finger};
+    }
   };
 
   ExchangeResult result;
@@ -240,13 +220,14 @@ ExchangeResult ExchangeOptimizer::optimize(
 
   const Annealer annealer(options_.schedule);
   result.anneal =
-      annealer.run(cost(initial, id_tracker), try_move, undo);
+      annealer.run(cost(initial, id_tracker), propose, commit);
 
-  result.ir_cost_after = ir_cost(current);
+  const PackageAssignment& final_order = state.assignment();
+  result.ir_cost_after = ir_cost(final_order);
   result.omega_after =
-      omega_zero_bits(current.ring_order(), netlist, tier_count_);
-  result.increased_density = id_tracker.evaluate(current);
-  result.assignment = std::move(current);
+      omega_zero_bits(final_order.ring_order(), netlist, tier_count_);
+  result.increased_density = id_tracker.evaluate(final_order);
+  result.assignment = final_order;
   return result;
 }
 

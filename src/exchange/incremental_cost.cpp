@@ -62,18 +62,17 @@ IncrementalCost::IncrementalCost(const Package& package,
   delta_count_[static_cast<std::size_t>(delta_offset_)] =
       static_cast<int>(delta_.size());
 
-  // --- omega: every group starts empty, missing all psi tiers ---
+  // --- omega ---
   const int groups = (alpha_ + tier_count_ - 1) / tier_count_;
-  group_union_.assign(static_cast<std::size_t>(groups), 0);
-  omega_ = groups * std::popcount(full_mask_);
-  for (int g = 0; g < groups; ++g) rebuild_group(g);
+  group_union_.resize(static_cast<std::size_t>(groups));
+  for (int g = 0; g < groups; ++g) {
+    group_union_[static_cast<std::size_t>(g)] = group_union(g, -1, 0);
+    omega_ += zero_bits(group_union_[static_cast<std::size_t>(g)]);
+  }
 }
 
 double IncrementalCost::dispersion() const {
-  if (supply_pos_.empty()) return 0.0;
-  const double p = static_cast<double>(supply_pos_.size());
-  const double total = static_cast<double>(alpha_);
-  return static_cast<double>(gap_sum_sq_) / (total * total / p);
+  return dispersion_of(gap_sum_sq_);
 }
 
 int IncrementalCost::increased_density() const {
@@ -81,51 +80,48 @@ int IncrementalCost::increased_density() const {
 }
 
 double IncrementalCost::current() const {
-  return lambda_ * dispersion() + rho_ * increased_density() +
-         phi_ * omega_;
+  return cost_of(gap_sum_sq_, max_delta_, omega_);
 }
 
-void IncrementalCost::apply_swap(int quadrant, int left_finger) {
-  swap_impl(quadrant, left_finger);
-  last_ = LastSwap{quadrant, left_finger};
+double IncrementalCost::cost_after_swap(int quadrant, int left_finger) const {
+  const SwapEffect e = effect_of(quadrant, left_finger);
+  return cost_of(e.gap_sum_sq, e.max_delta, e.omega);
 }
 
-void IncrementalCost::undo_last() {
-  require(last_.quadrant >= 0, "IncrementalCost: nothing to undo");
-  swap_impl(last_.quadrant, last_.left);
-  last_ = LastSwap{};
+double IncrementalCost::dispersion_of(long long gap_sum_sq) const {
+  if (supply_pos_.empty()) return 0.0;
+  const double p = static_cast<double>(supply_pos_.size());
+  const double total = static_cast<double>(alpha_);
+  return static_cast<double>(gap_sum_sq) / (total * total / p);
 }
 
-void IncrementalCost::shift_load(int section, int step) {
-  int& delta = delta_[static_cast<std::size_t>(section)];
-  --delta_count_[static_cast<std::size_t>(delta + delta_offset_)];
-  delta += step;
-  ++delta_count_[static_cast<std::size_t>(delta + delta_offset_)];
-  // A +-1 step moves the max by at most one.
-  if (delta > max_delta_) {
-    max_delta_ = delta;
-  } else if (delta_count_[static_cast<std::size_t>(max_delta_ +
-                                                   delta_offset_)] == 0) {
-    --max_delta_;
-  }
+double IncrementalCost::cost_of(long long gap_sum_sq, int max_delta,
+                                int omega) const {
+  return lambda_ * dispersion_of(gap_sum_sq) +
+         rho_ * std::max(0, max_delta) + phi_ * omega;
 }
 
-void IncrementalCost::rebuild_group(int group) {
-  auto& value = group_union_[static_cast<std::size_t>(group)];
-  omega_ -= std::popcount(full_mask_ & ~value);
-  value = 0;
+std::uint32_t IncrementalCost::group_union(int group, int position,
+                                           std::uint32_t bit) const {
+  std::uint32_t value = 0;
   const int start = group * tier_count_;
   const int end = std::min(start + tier_count_, alpha_);
   for (int i = start; i < end; ++i) {
-    value |= tier_bit_[static_cast<std::size_t>(i)];
+    value |= i == position ? bit : tier_bit_[static_cast<std::size_t>(i)];
   }
-  omega_ += std::popcount(full_mask_ & ~value);
+  return value;
 }
 
-void IncrementalCost::swap_impl(int quadrant, int left_finger) {
+int IncrementalCost::zero_bits(std::uint32_t group_union) const {
+  return std::popcount(full_mask_ & ~group_union);
+}
+
+IncrementalCost::SwapEffect IncrementalCost::effect_of(
+    int quadrant, int left_finger) const {
   require(quadrant >= 0 && quadrant < package_->quadrant_count(),
           "IncrementalCost: quadrant out of range");
-  auto& order = current_.quadrants[static_cast<std::size_t>(quadrant)].order;
+  const auto& order =
+      current_.quadrants[static_cast<std::size_t>(quadrant)].order;
   require(left_finger >= 0 &&
               left_finger + 1 < static_cast<int>(order.size()),
           "IncrementalCost: finger out of range");
@@ -136,10 +132,12 @@ void IncrementalCost::swap_impl(int quadrant, int left_finger) {
   const int row_a = q.net_row(a);
   const int row_b = q.net_row(b);
   require(row_a != row_b, "IncrementalCost: same-row swap is illegal");
-  std::swap(order[static_cast<std::size_t>(left_finger)],
-            order[static_cast<std::size_t>(left_finger + 1)]);
   const int p = package_->ring_offset(quadrant) + left_finger;
   const auto left = static_cast<std::size_t>(p);
+  SwapEffect e{.position = p,
+               .gap_sum_sq = gap_sum_sq_,
+               .max_delta = max_delta_,
+               .omega = omega_};
 
   // --- dispersion: exactly one supply pad moves by one slot -------------
   const int slot_a = supply_slot_[left];
@@ -152,12 +150,12 @@ void IncrementalCost::swap_impl(int quadrant, int left_finger) {
     if (count > 1) {
       const int before = supply_pos_[(slot + count - 1) % count];
       const int after = supply_pos_[(slot + 1) % count];
-      gap_sum_sq_ += gap_sq(before, to, alpha_) + gap_sq(to, after, alpha_) -
-                     gap_sq(before, from, alpha_) -
-                     gap_sq(from, after, alpha_);
+      e.gap_sum_sq += gap_sq(before, to, alpha_) + gap_sq(to, after, alpha_) -
+                      gap_sq(before, from, alpha_) -
+                      gap_sq(from, after, alpha_);
     }
-    supply_pos_[slot] = to;
-    std::swap(supply_slot_[left], supply_slot_[left + 1]);
+    e.supply_slot = static_cast<int>(slot);
+    e.supply_to = to;
   }
 
   // --- Eq. (2): one signal net crosses a section boundary ---------------
@@ -169,18 +167,70 @@ void IncrementalCost::swap_impl(int quadrant, int left_finger) {
     const int first = section_start_[static_cast<std::size_t>(quadrant)];
     // ta: the signal net b moves from section rank+1 to rank;
     // tb: the signal net a moves from section rank to rank+1.
-    shift_load(first + (ta ? rank : rank + 1), +1);
-    shift_load(first + (ta ? rank + 1 : rank), -1);
+    e.section_up = first + (ta ? rank : rank + 1);
+    e.section_down = first + (ta ? rank + 1 : rank);
+    const int up = delta_[static_cast<std::size_t>(e.section_up)] + 1;
+    const int down = delta_[static_cast<std::size_t>(e.section_down)];
+    if (up > max_delta_) {
+      e.max_delta = up;
+    } else {
+      // `up` was below the max; the max drops by one only when `down`
+      // was the one section holding it.
+      const int at_max =
+          delta_count_[static_cast<std::size_t>(max_delta_ + delta_offset_)] -
+          (down == max_delta_ ? 1 : 0) + (up == max_delta_ ? 1 : 0);
+      if (at_max == 0) e.max_delta = max_delta_ - 1;
+    }
   }
 
   // --- omega: rebuild the touched groups when the swap straddles one ----
-  std::swap(tier_bit_[left], tier_bit_[left + 1]);
-  const int g1 = p / tier_count_;
-  const int g2 = (p + 1) / tier_count_;
-  if (g1 != g2) {
-    rebuild_group(g1);
-    rebuild_group(g2);
+  // (and moves a tier bit at all: equal bits leave every union as is).
+  const int group = p / tier_count_;
+  if ((p + 1) / tier_count_ != group &&
+      tier_bit_[left] != tier_bit_[left + 1]) {
+    e.straddles = true;
+    e.union_left = group_union(group, p, tier_bit_[left + 1]);
+    e.union_right = group_union(group + 1, p + 1, tier_bit_[left]);
+    e.omega +=
+        zero_bits(e.union_left) + zero_bits(e.union_right) -
+        zero_bits(group_union_[static_cast<std::size_t>(group)]) -
+        zero_bits(group_union_[static_cast<std::size_t>(group + 1)]);
   }
+  return e;
+}
+
+void IncrementalCost::apply_swap(int quadrant, int left_finger) {
+  const SwapEffect e = effect_of(quadrant, left_finger);
+  auto& order = current_.quadrants[static_cast<std::size_t>(quadrant)].order;
+  std::swap(order[static_cast<std::size_t>(left_finger)],
+            order[static_cast<std::size_t>(left_finger + 1)]);
+  const auto left = static_cast<std::size_t>(e.position);
+
+  if (e.supply_slot >= 0) {
+    supply_pos_[static_cast<std::size_t>(e.supply_slot)] = e.supply_to;
+    std::swap(supply_slot_[left], supply_slot_[left + 1]);
+  }
+  gap_sum_sq_ = e.gap_sum_sq;
+
+  if (e.section_up >= 0) {
+    const auto move = [&](int section, int step) {
+      int& delta = delta_[static_cast<std::size_t>(section)];
+      --delta_count_[static_cast<std::size_t>(delta + delta_offset_)];
+      delta += step;
+      ++delta_count_[static_cast<std::size_t>(delta + delta_offset_)];
+    };
+    move(e.section_up, +1);
+    move(e.section_down, -1);
+  }
+  max_delta_ = e.max_delta;
+
+  std::swap(tier_bit_[left], tier_bit_[left + 1]);
+  if (e.straddles) {
+    const auto group = static_cast<std::size_t>(e.position / tier_count_);
+    group_union_[group] = e.union_left;
+    group_union_[group + 1] = e.union_right;
+  }
+  omega_ = e.omega;
 }
 
 }  // namespace fp

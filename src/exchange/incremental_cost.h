@@ -2,8 +2,9 @@
 //
 // The SA loop proposes tens of thousands of adjacent swaps; recomputing
 // dispersion, ID and omega from scratch costs O(alpha) each. Every term
-// changes only locally under an adjacent swap, so apply_swap/undo_last
-// cost O(1) (O(psi) for omega) and allocate nothing:
+// changes only locally under an adjacent swap, so scoring a swap
+// (cost_after_swap) and applying it (apply_swap) cost O(1) (O(psi) for
+// omega) and allocate nothing:
 //   * supply dispersion -- only when exactly one swapped net is a supply
 //     net: that pad moves by one slot inside its quadrant, so the cyclic
 //     order of the pads, and its two neighbours in it, stay the same and
@@ -11,10 +12,16 @@
 //   * ID (Eq. 2)        -- only when exactly one swapped net is a top-row
 //     net: one signal net crosses that section boundary, shifting one
 //     unit of load between two adjacent sections; a count-per-delta
-//     histogram keeps the max, which moves by at most one step (O(1));
+//     histogram gives the new max by a case analysis of those two
+//     sections (O(1));
 //   * omega             -- only when the swap straddles a psi-group
 //     boundary: the two touched groups' unions are rebuilt from the
-//     per-position tier bits (O(psi)).
+//     per-position tier bits with the two bits exchanged (O(psi)).
+// cost_after_swap is a pure peek: it computes the post-swap value
+// without writing anything, and is bit-identical to apply_swap followed
+// by current(). There is no undo: a rejected proposal is simply never
+// applied, and an adjacent swap is its own inverse, so applying the same
+// swap again restores the previous state exactly.
 // The class owns its copy of the evolving order; drive it with the same
 // swap stream as the optimizer. Equivalence with the full recomputation
 // (bit-identical values) is property-tested over random legal swap
@@ -44,23 +51,45 @@ class IncrementalCost {
   [[nodiscard]] int increased_density() const;
   [[nodiscard]] int omega() const { return omega_; }
 
+  /// Eq.-(3) value after swapping fingers (left, left+1) of `quadrant`,
+  /// without applying the swap: bit-identical to apply_swap followed by
+  /// current(), and the object is unchanged. Same preconditions as
+  /// apply_swap.
+  [[nodiscard]] double cost_after_swap(int quadrant, int left_finger) const;
+
   /// Applies the swap of fingers (left, left+1) of `quadrant`; the caller
   /// guarantees monotone legality (as in the optimizer's move filter).
+  /// Applying the same swap again reverts it.
   void apply_swap(int quadrant, int left_finger);
 
-  /// Reverts the most recent un-undone apply_swap (depth 1; an adjacent
-  /// swap is an involution, so deeper undo is re-applying the same swap).
-  void undo_last();
-
-  /// The evolving order (for cross-checks).
+  /// The evolving order (the optimizer reads its moves from it).
   [[nodiscard]] const PackageAssignment& assignment() const {
     return current_;
   }
 
  private:
-  void swap_impl(int quadrant, int left_finger);
-  void shift_load(int section, int step);
-  void rebuild_group(int group);
+  /// Everything a swap changes, computed from the pre-swap state.
+  struct SwapEffect {
+    int position = 0;       // ring position of the left finger
+    int supply_slot = -1;   // slot of the one supply pad that moves, or -1
+    int supply_to = 0;      // that pad's new ring position
+    long long gap_sum_sq = 0;
+    int section_up = -1;    // Eq.-(2) section gaining one unit, or -1
+    int section_down = -1;  // Eq.-(2) section losing one unit
+    int max_delta = 0;
+    bool straddles = false;  // the swap crosses a psi-group boundary
+    std::uint32_t union_left = 0;   // new union of the left group
+    std::uint32_t union_right = 0;  // new union of the right group
+    int omega = 0;
+  };
+
+  [[nodiscard]] SwapEffect effect_of(int quadrant, int left_finger) const;
+  [[nodiscard]] double dispersion_of(long long gap_sum_sq) const;
+  [[nodiscard]] double cost_of(long long gap_sum_sq, int max_delta,
+                               int omega) const;
+  [[nodiscard]] std::uint32_t group_union(int group, int position,
+                                          std::uint32_t bit) const;
+  [[nodiscard]] int zero_bits(std::uint32_t group_union) const;
 
   const Package* package_;
   double lambda_;
@@ -93,11 +122,6 @@ class IncrementalCost {
   std::vector<std::uint32_t> group_union_;
   int omega_ = 0;
   std::uint32_t full_mask_ = 0;
-
-  struct LastSwap {
-    int quadrant = -1;
-    int left = -1;
-  } last_;
 };
 
 }  // namespace fp

@@ -54,18 +54,14 @@ class Rng {
     if (span == 0) {  // full 64-bit range
       return static_cast<std::int64_t>(next());
     }
-    // Rejection sampling for an unbiased result.
-    const std::uint64_t limit = max() - max() % span;
-    std::uint64_t v = next();
-    while (v >= limit) v = next();
-    return lo + static_cast<std::int64_t>(v % span);
+    return lo + static_cast<std::int64_t>(below(span));
   }
 
-  /// Uniform size_t index in [0, n). Requires n > 0.
+  /// Uniform size_t index in [0, n). Requires n > 0. Draws the same
+  /// stream as uniform_int(0, n - 1); see IndexDraw for a fixed n.
   std::size_t index(std::size_t n) {
     require(n > 0, "Rng::index: n must be positive");
-    return static_cast<std::size_t>(
-        uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    return static_cast<std::size_t>(below(n));
   }
 
   /// Uniform double in [0, 1).
@@ -104,9 +100,46 @@ class Rng {
   Rng split();
 
  private:
+  /// Unbiased integer in [0, span) by rejection sampling; span > 0.
+  std::uint64_t below(std::uint64_t span) {
+    const std::uint64_t limit = max() - max() % span;
+    std::uint64_t v = next();
+    while (v >= limit) v = next();
+    return v % span;
+  }
+
   std::uint64_t s_[4];
   bool have_cached_normal_ = false;
   double cached_normal_ = 0.0;
+};
+
+/// Rng::index(n) for an n fixed up front, draw for draw the same stream
+/// and values. The rejection limit and floor((2^64 - 1) / n) are computed
+/// once, so a draw costs one multiply instead of two 64-bit divisions:
+/// q = floor(v * m / 2^64) is floor(v / n) or one less, so v - q * n is
+/// the remainder or the remainder plus n, and one compare fixes it.
+class IndexDraw {
+ public:
+  explicit IndexDraw(std::size_t n)
+      : n_(n), limit_(n > 0 ? Rng::max() - Rng::max() % n : 0),
+        reciprocal_(n > 0 ? Rng::max() / n : 0) {
+    require(n > 0, "IndexDraw: n must be positive");
+  }
+
+  std::size_t operator()(Rng& rng) const {
+    std::uint64_t v = rng.next();
+    while (v >= limit_) v = rng.next();
+    __extension__ using Wide = unsigned __int128;
+    const auto q = static_cast<std::uint64_t>(
+        (static_cast<Wide>(v) * reciprocal_) >> 64);
+    const std::uint64_t r = v - q * n_;
+    return static_cast<std::size_t>(r >= n_ ? r - n_ : r);
+  }
+
+ private:
+  std::uint64_t n_;
+  std::uint64_t limit_;
+  std::uint64_t reciprocal_;
 };
 
 }  // namespace fp

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "assign/dfa.h"
 #include "exchange/exchange.h"
@@ -43,18 +45,16 @@ TEST(Annealer, MinimisesQuadratic) {
   schedule.cooling = 0.95;
   schedule.moves_per_temperature = 20;
   int x = 47;
-  int last_delta = 0;
+  int proposed_x = 0;
   const Annealer annealer(schedule);
   const AnnealResult result = annealer.run(
       static_cast<double>(x) * x,
       [&](Rng& rng) -> std::optional<double> {
-        last_delta = rng.chance(0.5) ? 1 : -1;
-        const int nx = x + last_delta;
-        if (nx < -50 || nx > 50) return std::nullopt;
-        x = nx;
-        return static_cast<double>(x) * x;
+        proposed_x = x + (rng.chance(0.5) ? 1 : -1);
+        if (proposed_x < -50 || proposed_x > 50) return std::nullopt;
+        return static_cast<double>(proposed_x) * proposed_x;
       },
-      [&]() { x -= last_delta; });
+      [&]() { x = proposed_x; });
   EXPECT_LE(std::abs(x), 5);
   EXPECT_DOUBLE_EQ(result.final_cost, static_cast<double>(x) * x);
   EXPECT_LE(result.best_cost, result.initial_cost);
@@ -71,7 +71,7 @@ TEST(Annealer, CountsIllegalMoves) {
   const Annealer annealer(schedule);
   const AnnealResult result = annealer.run(
       1.0, [](Rng&) -> std::optional<double> { return std::nullopt; },
-      []() { FAIL() << "undo must not run for illegal moves"; });
+      []() { FAIL() << "commit must not run for illegal moves"; });
   EXPECT_EQ(result.rejected_illegal, result.proposed);
   EXPECT_EQ(result.accepted, 0);
   EXPECT_DOUBLE_EQ(result.final_cost, 1.0);
@@ -86,20 +86,84 @@ TEST(Annealer, DeterministicInSeed) {
     schedule.cooling = 0.9;
     schedule.moves_per_temperature = 8;
     int x = 30;
-    int last = 0;
+    int proposed_x = 0;
     return Annealer(schedule).run(
         900.0,
         [&](Rng& rng) -> std::optional<double> {
-          last = rng.chance(0.5) ? 1 : -1;
-          x += last;
-          return static_cast<double>(x) * x;
+          proposed_x = x + (rng.chance(0.5) ? 1 : -1);
+          return static_cast<double>(proposed_x) * proposed_x;
         },
-        [&]() { x -= last; });
+        [&]() { x = proposed_x; });
   };
   const AnnealResult a = run_once();
   const AnnealResult b = run_once();
   EXPECT_DOUBLE_EQ(a.final_cost, b.final_cost);
   EXPECT_EQ(a.accepted, b.accepted);
+}
+
+TEST(Annealer, ExpCutoffKeepsMetropolisDecisions) {
+  // Scripted uphill steps put x = -delta/T on both sides of the -40 cut-off
+  // below which the annealer skips exp. Every decision, and the RNG stream
+  // the proposals see, must match the plain `u < exp(x)` loop.
+  SaSchedule schedule;
+  schedule.seed = 5;
+  schedule.initial_temperature = 2.0;
+  schedule.final_temperature = 1e-3;
+  schedule.cooling = 0.8;
+  schedule.moves_per_temperature = 40;
+  const std::vector<double> xs{0.5,     -0.1,  -1.0,    -5.0,  -20.0,
+                               -39.999, -40.0, -40.001, -41.0, -80.0,
+                               -745.0,  -1e6,  -3e-3,   -36.0, -44.0};
+  const auto script = [&](Rng& rng, double temperature) {
+    return -xs[rng.index(xs.size())] * temperature;  // the step's delta
+  };
+
+  // Reference: the plain Metropolis loop over the same schedule.
+  std::vector<bool> expected;
+  std::vector<std::uint64_t> expected_probes;
+  {
+    Rng rng(schedule.seed);
+    for (double t = schedule.initial_temperature;
+         t > schedule.final_temperature; t *= schedule.cooling) {
+      for (int i = 0; i < schedule.moves_per_temperature; ++i) {
+        expected_probes.push_back(Rng(rng).next());
+        const double delta = script(rng, t);
+        expected.push_back(delta <= 0.0 ||
+                           rng.uniform() < std::exp(-delta / t));
+      }
+    }
+  }
+
+  std::vector<bool> decisions;
+  std::vector<std::uint64_t> probes;
+  double temperature = schedule.initial_temperature;
+  double cost = 0.0;
+  double proposed_cost = 0.0;
+  const AnnealResult result = Annealer(schedule).run(
+      cost,
+      [&](Rng& rng) -> std::optional<double> {
+        // Mirror the annealer's cooling: one step per
+        // moves_per_temperature proposals.
+        const auto moves =
+            static_cast<std::size_t>(schedule.moves_per_temperature);
+        if (!probes.empty() && probes.size() % moves == 0) {
+          temperature *= schedule.cooling;
+        }
+        probes.push_back(Rng(rng).next());
+        decisions.push_back(false);  // commit() flips it on accept
+        proposed_cost = cost + script(rng, temperature);
+        return proposed_cost;
+      },
+      [&]() {
+        decisions.back() = true;
+        cost = proposed_cost;
+      });
+  EXPECT_EQ(probes, expected_probes);
+  EXPECT_EQ(decisions, expected);
+  const auto accepted = std::count(expected.begin(), expected.end(), true);
+  EXPECT_EQ(result.accepted, accepted);
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, static_cast<long>(expected.size()));
 }
 
 // --------------------------------------------------- increased density ----

@@ -101,17 +101,5 @@ TEST(Greedy, InvalidInputsRejected) {
       InvalidArgument);
 }
 
-TEST(Greedy, CompactModeRuns) {
-  const Package package = make_package();
-  const PackageAssignment initial = DfaAssigner().assign(package);
-  GreedyOptions options = light_options();
-  options.cost.ir_mode = IrCostMode::Compact;
-  options.max_passes = 10;
-  const ExchangeResult result =
-      GreedyExchanger(package, options).optimize(initial);
-  EXPECT_GT(result.ir_cost_before, 0.0);
-  EXPECT_LE(result.ir_cost_after, result.ir_cost_before + 1e-9);
-}
-
 }  // namespace
 }  // namespace fp

@@ -1,5 +1,6 @@
 // The Eq.-(3) swap path runs once per SA proposal and once per serve
-// swap, so IncrementalCost::apply_swap/undo_last must not allocate. This
+// swap, so IncrementalCost::cost_after_swap (the peek that scores a
+// proposal) and apply_swap (the commit) must not allocate. This
 // binary replaces the global operator new with a counting one (its own
 // executable, so no other test runs under the replacement).
 #include <gtest/gtest.h>
@@ -44,11 +45,13 @@ TEST(IncrementalCost, SwapPathAllocatesNothing) {
             cost.assignment().quadrants[static_cast<std::size_t>(qi)].order;
         for (std::size_t left = 0; left + 1 < order.size(); ++left) {
           if (q.net_row(order[left]) == q.net_row(order[left + 1])) continue;
+          sum += cost.cost_after_swap(qi, static_cast<int>(left));
           cost.apply_swap(qi, static_cast<int>(left));
           sum += cost.current();
           ++swaps;
-          if (left % 3 == 0) {
-            cost.undo_last();
+          if (left % 3 == 0) {  // undo: the same swap again
+            sum += cost.cost_after_swap(qi, static_cast<int>(left));
+            cost.apply_swap(qi, static_cast<int>(left));
             sum += cost.current();
           }
         }

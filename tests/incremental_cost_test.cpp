@@ -1,9 +1,12 @@
 // Property tests of the incremental Eq.-(3) evaluator: after every step
-// of random legal adjacent swap sequences (and undos), every term must be
-// bit-identical to the full recomputation on the same order.
+// of random legal adjacent swap sequences (and undos, which re-apply the
+// same swap), every term must be bit-identical to the full recomputation
+// on the same order, and every cost_after_swap peek must equal the cost
+// the following apply_swap produces while changing nothing.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "assign/dfa.h"
@@ -55,9 +58,27 @@ void check_equivalence(const Package& package,
   EXPECT_EQ(incremental.current(), evaluator.cost(current, baseline));
 }
 
+/// cost_after_swap(qi, left), checked to leave every term and the order
+/// unchanged.
+double peek(const IncrementalCost& incremental, int qi, int left) {
+  const double dispersion = incremental.dispersion();
+  const int id = incremental.increased_density();
+  const int omega = incremental.omega();
+  const double cost = incremental.current();
+  const std::vector<NetId> ring = incremental.assignment().ring_order();
+  const double after = incremental.cost_after_swap(qi, left);
+  EXPECT_EQ(incremental.dispersion(), dispersion);
+  EXPECT_EQ(incremental.increased_density(), id);
+  EXPECT_EQ(incremental.omega(), omega);
+  EXPECT_EQ(incremental.current(), cost);
+  EXPECT_EQ(incremental.assignment().ring_order(), ring);
+  return after;
+}
+
 /// Walks `swaps` random legal adjacent swaps (a quarter of the proposals
-/// at a quadrant's first or last finger), undoing ~40% of them, and
-/// checks the full equivalence after every step.
+/// at a quadrant's first or last finger), undoing ~40% of them by
+/// applying the same swap again, and checks the full equivalence after
+/// every step and every peek against the swap that follows it.
 void walk(const Package& package, int swaps, std::uint64_t seed) {
   const PackageAssignment initial = DfaAssigner().assign(package);
   const IncreasedDensity baseline(package, initial);
@@ -84,12 +105,16 @@ void walk(const Package& package, int swaps, std::uint64_t seed) {
       continue;  // illegal move, skip
     }
 
+    const double peeked = peek(incremental, qi, left);
     incremental.apply_swap(qi, left);
+    EXPECT_EQ(incremental.current(), peeked);
     ++applied;
     if (left == 0 || left == last) ++edge_swaps;
     check_equivalence(package, incremental, baseline, evaluator);
     if (rng.chance(0.4)) {
-      incremental.undo_last();
+      const double restored = peek(incremental, qi, left);
+      incremental.apply_swap(qi, left);
+      EXPECT_EQ(incremental.current(), restored);
       ++undone;
       check_equivalence(package, incremental, baseline, evaluator);
     }
@@ -196,11 +221,21 @@ TEST(ExchangePin, OptimizeMatchesPinnedRuns) {
   }
 }
 
-TEST(IncrementalCost, UndoWithoutApplyThrows) {
+TEST(IncrementalCost, OutOfRangeSwapThrows) {
   const Package package = make_package(1);
   const PackageAssignment initial = DfaAssigner().assign(package);
   IncrementalCost incremental(package, initial, 1.0, 1.0, 1.0);
-  EXPECT_THROW(incremental.undo_last(), InvalidArgument);
+  const double cost = incremental.current();
+  const int fingers = static_cast<int>(initial.quadrants[0].order.size());
+  for (const auto& [qi, left] :
+       {std::pair{-1, 0}, std::pair{package.quadrant_count(), 0},
+        std::pair{0, -1}, std::pair{0, fingers - 1}}) {
+    EXPECT_THROW((void)incremental.cost_after_swap(qi, left),
+                 InvalidArgument);
+    EXPECT_THROW(incremental.apply_swap(qi, left), InvalidArgument);
+  }
+  EXPECT_EQ(incremental.current(), cost);
+  EXPECT_EQ(incremental.assignment().ring_order(), initial.ring_order());
 }
 
 TEST(IncrementalCost, SameRowSwapRejected) {
@@ -213,6 +248,8 @@ TEST(IncrementalCost, SameRowSwapRejected) {
   for (int left = 0; left + 1 < static_cast<int>(order.size()); ++left) {
     if (q.net_row(order[static_cast<std::size_t>(left)]) ==
         q.net_row(order[static_cast<std::size_t>(left + 1)])) {
+      EXPECT_THROW((void)incremental.cost_after_swap(0, left),
+                   InvalidArgument);
       EXPECT_THROW(incremental.apply_swap(0, left), InvalidArgument);
       return;
     }

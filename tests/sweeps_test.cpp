@@ -1,10 +1,11 @@
-// Additional parameterised sweeps across modules: annealer trace
+// Additional parameterised sweeps across modules: annealer cooling-curve
 // recording, SOR relaxation factors, mesh-refinement consistency, via-plan
 // pivots, exchange schedules, and supply-fraction generation.
 #include <gtest/gtest.h>
 
 #include "assign/dfa.h"
 #include "exchange/exchange.h"
+#include "obs/metrics.h"
 #include "package/circuit_generator.h"
 #include "power/pad_ring.h"
 #include "power/solver.h"
@@ -15,6 +16,9 @@ namespace fp {
 namespace {
 
 // ------------------------------------------------------ annealer trace ----
+// The cooling curve lives in the "<prefix>.cooling" metrics series, one
+// (temperature, cost, accepted_moves) row per temperature step; a
+// convergence plot thins it itself (bench_sa_trace keeps every 5th row).
 
 TEST(AnnealerTrace, RecordsRequestedSamples) {
   SaSchedule schedule;
@@ -22,27 +26,39 @@ TEST(AnnealerTrace, RecordsRequestedSamples) {
   schedule.final_temperature = 0.01;
   schedule.cooling = 0.9;
   schedule.moves_per_temperature = 4;
-  schedule.record_every = 3;
+  schedule.metric_prefix = "sweeps_trace";
   int x = 20;
-  int last = 0;
+  int proposed_x = 0;
+  obs::MetricsRegistry::global().clear();
+  obs::set_metrics_enabled(true);
   const AnnealResult result = Annealer(schedule).run(
       400.0,
       [&](Rng& rng) -> std::optional<double> {
-        last = rng.chance(0.5) ? 1 : -1;
-        x += last;
-        return static_cast<double>(x) * x;
+        proposed_x = x + (rng.chance(0.5) ? 1 : -1);
+        return static_cast<double>(proposed_x) * proposed_x;
       },
-      [&]() { x -= last; });
-  ASSERT_FALSE(result.trace.empty());
-  EXPECT_EQ(result.trace.size(),
+      [&]() { x = proposed_x; });
+  obs::set_metrics_enabled(false);
+  const std::optional<obs::SeriesSnapshot> cooling =
+      obs::MetricsRegistry::global().series("sweeps_trace.cooling");
+  obs::MetricsRegistry::global().clear();
+  ASSERT_TRUE(cooling.has_value());
+  ASSERT_EQ(cooling->rows.size(),
+            static_cast<std::size_t>(result.temperature_steps));
+  std::vector<std::vector<double>> trace;  // every 3rd temperature step
+  for (std::size_t i = 0; i < cooling->rows.size(); i += 3) {
+    trace.push_back(cooling->rows[i]);
+  }
+  ASSERT_FALSE(trace.empty());
+  EXPECT_EQ(trace.size(),
             static_cast<std::size_t>((result.temperature_steps + 2) / 3));
   // Temperatures strictly decrease along the trace; the first sample is
   // taken at the initial temperature with the initial cost.
-  EXPECT_DOUBLE_EQ(result.trace.front().temperature, 10.0);
-  EXPECT_DOUBLE_EQ(result.trace.front().cost, 400.0);
-  for (std::size_t i = 1; i < result.trace.size(); ++i) {
-    EXPECT_LT(result.trace[i].temperature, result.trace[i - 1].temperature);
-    EXPECT_GE(result.trace[i].accepted, result.trace[i - 1].accepted);
+  EXPECT_DOUBLE_EQ(trace.front()[0], 10.0);
+  EXPECT_DOUBLE_EQ(trace.front()[1], 400.0);
+  for (std::size_t i = 1; i < trace.size(); ++i) {
+    EXPECT_LT(trace[i][0], trace[i - 1][0]);
+    EXPECT_GE(trace[i][2], trace[i - 1][2]);
   }
 }
 
@@ -52,10 +68,12 @@ TEST(AnnealerTrace, OffByDefault) {
   schedule.final_temperature = 0.5;
   schedule.cooling = 0.9;
   schedule.moves_per_temperature = 1;
+  obs::MetricsRegistry::global().clear();
   const AnnealResult result = Annealer(schedule).run(
       1.0, [](Rng&) -> std::optional<double> { return std::nullopt; },
       []() {});
-  EXPECT_TRUE(result.trace.empty());
+  EXPECT_GT(result.temperature_steps, 0);
+  EXPECT_FALSE(obs::MetricsRegistry::global().series("sa.cooling"));
 }
 
 // ------------------------------------------------------------ SOR sweep ----

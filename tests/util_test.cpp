@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <csignal>
 #include <numeric>
 #include <set>
@@ -73,6 +74,38 @@ TEST(Rng, UniformIntIsRoughlyUniform) {
   for (const int count : histogram) {
     EXPECT_NEAR(count, draws / 10, draws / 100);
   }
+}
+
+TEST(Rng, IndexDrawMatchesIndex) {
+  // IndexDraw replaces Rng::index's two divisions by a multiply; it must
+  // return the same values and consume the same raw stream, draw for
+  // draw. Rng::index itself must match uniform_int(0, n - 1) wherever
+  // that range is representable.
+  std::vector<std::uint64_t> sizes{1, 2, 3, 4, 5, 7, 1536, 6144};
+  for (int k = 2; k < 64; ++k) {
+    const std::uint64_t power = std::uint64_t{1} << k;
+    sizes.insert(sizes.end(), {power - 1, power, power + 1});
+  }
+  sizes.push_back(~std::uint64_t{0});
+  for (const std::uint64_t n : sizes) {
+    const IndexDraw draw(n);
+    for (const std::uint64_t seed : {1ULL, 2ULL, 99ULL, 0xdeadbeefULL}) {
+      Rng fast(seed);
+      Rng reference(seed);
+      Rng ranged(seed);
+      for (int i = 0; i < 200; ++i) {
+        const std::size_t expected = reference.index(n);
+        ASSERT_EQ(draw(fast), expected) << "n " << n << " seed " << seed;
+        ASSERT_LT(expected, n);
+        if (n - 1 <= static_cast<std::uint64_t>(INT64_MAX)) {
+          ASSERT_EQ(ranged.uniform_int(0, static_cast<std::int64_t>(n - 1)),
+                    static_cast<std::int64_t>(expected));
+        }
+      }
+      EXPECT_EQ(fast.next(), reference.next()) << "n " << n;
+    }
+  }
+  EXPECT_THROW(IndexDraw{0}, InvalidArgument);
 }
 
 TEST(Rng, UniformDoubleInUnitInterval) {
