@@ -158,24 +158,30 @@ BENCHMARK(BM_IncrementalCommit)
     ->ArgsProduct({{0, 1, 2, 3, 4, 1536, 6144}, {1, 2}})
     ->ArgNames({"circuit", "psi"});
 
+/// The planning-pass rows: max density (one DensityMap per quadrant) and
+/// the full router, on the Table-1 circuits and the plan_large packages.
+/// items_per_second is fingers per second, so the rows at alpha 1536-6144
+/// show whether the cost per finger stays flat.
 void BM_DensityMap(benchmark::State& state) {
-  const Package& package = circuit(static_cast<int>(state.range(0)));
+  const Package& package = assign_circuit(static_cast<int>(state.range(0)));
   const PackageAssignment assignment = DfaAssigner().assign(package);
   for (auto _ : state) {
     benchmark::DoNotOptimize(max_density(package, assignment));
   }
+  state.SetItemsProcessed(state.iterations() * package.finger_count());
 }
-BENCHMARK(BM_DensityMap)->DenseRange(0, 4);
+BENCHMARK(BM_DensityMap)->DenseRange(0, 4)->Arg(1536)->Arg(3072)->Arg(6144);
 
 void BM_Router(benchmark::State& state) {
-  const Package& package = circuit(static_cast<int>(state.range(0)));
+  const Package& package = assign_circuit(static_cast<int>(state.range(0)));
   const PackageAssignment assignment = DfaAssigner().assign(package);
   const MonotonicRouter router;
   for (auto _ : state) {
     benchmark::DoNotOptimize(router.route(package, assignment));
   }
+  state.SetItemsProcessed(state.iterations() * package.finger_count());
 }
-BENCHMARK(BM_Router)->DenseRange(0, 4);
+BENCHMARK(BM_Router)->DenseRange(0, 4)->Arg(1536)->Arg(3072)->Arg(6144);
 
 void BM_Solver(benchmark::State& state) {
   PowerGridSpec spec = bench::standard_grid();

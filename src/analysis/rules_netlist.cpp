@@ -3,6 +3,7 @@
 // pass.
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -11,10 +12,17 @@
 namespace fp::rules {
 namespace {
 
+std::size_t supply_count(const Netlist& netlist) {
+  return netlist.count(NetType::Power) + netlist.count(NetType::Ground);
+}
+
 void net_duplicate_names(const CheckContext& context,
                          const CheckEmitter& emit) {
-  std::unordered_set<std::string> seen;
-  for (const Net& net : context.package->netlist().nets()) {
+  const std::vector<Net>& nets = context.package->netlist().nets();
+  // Views into the netlist's own names: no name is copied.
+  std::unordered_set<std::string_view> seen;
+  seen.reserve(nets.size());
+  for (const Net& net : nets) {
     if (!seen.insert(net.name).second) {
       emit.emit("duplicate net name '" + net.name +
                 "': interchange files and reports become ambiguous");
@@ -23,7 +31,7 @@ void net_duplicate_names(const CheckContext& context,
 }
 
 void net_no_supply(const CheckContext& context, const CheckEmitter& emit) {
-  if (context.package->netlist().supply_nets().empty()) {
+  if (supply_count(context.package->netlist()) == 0) {
     emit.emit("no supply nets: IR-drop analysis and the 2-D exchange step "
               "are unavailable");
   }
@@ -33,7 +41,7 @@ void net_supply_fraction(const CheckContext& context,
                          const CheckEmitter& emit) {
   const Netlist& netlist = context.package->netlist();
   if (netlist.empty()) return;
-  const std::size_t supply = netlist.supply_nets().size();
+  const std::size_t supply = supply_count(netlist);
   if (supply == 0) return;  // NET-002's finding
   const double fraction = static_cast<double>(supply) /
                           static_cast<double>(netlist.size());
@@ -48,11 +56,16 @@ void net_supply_fraction(const CheckContext& context,
 void net_quadrant_supply(const CheckContext& context,
                          const CheckEmitter& emit) {
   const Netlist& netlist = context.package->netlist();
-  if (netlist.supply_nets().empty()) return;
+  if (supply_count(netlist) == 0) return;
   for (const Quadrant& q : context.package->quadrants()) {
     bool has_supply = false;
-    for (const NetId net : q.all_nets()) {
-      if (is_supply(netlist.net(net).type)) has_supply = true;
+    for (int r = 0; r < q.row_count() && !has_supply; ++r) {
+      for (const NetId net : q.row_nets(r)) {
+        if (is_supply(netlist.net(net).type)) {
+          has_supply = true;
+          break;
+        }
+      }
     }
     if (!has_supply) {
       emit.emit("quadrant '" + q.name() + "' carries no supply net: one "

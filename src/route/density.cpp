@@ -45,10 +45,10 @@ DensityMap::DensityMap(const Quadrant& quadrant,
   }
 
   const int rows = quadrant.row_count();
+  const auto fingers = static_cast<std::size_t>(assignment.size());
   gap_counts_.resize(static_cast<std::size_t>(rows));
-  crossing_gap_of_net_.resize(static_cast<std::size_t>(rows));
 
-  // Dense finger-slot lookup over the quadrant's net id range.
+  // Crossing gaps are stored densely over the quadrant's net id range.
   NetId min_id = assignment.order.front();
   NetId max_id = assignment.order.front();
   for (const NetId net : assignment.order) {
@@ -56,84 +56,74 @@ DensityMap::DensityMap(const Quadrant& quadrant,
     max_id = std::max(max_id, net);
   }
   min_id_ = min_id;
-  const std::size_t id_span = static_cast<std::size_t>(max_id - min_id + 1);
-  std::vector<int> finger_of(id_span, -1);
-  for (int a = 0; a < assignment.size(); ++a) {
-    finger_of[static_cast<std::size_t>(
-        assignment.order[static_cast<std::size_t>(a)] - min_id)] = a;
+  id_span_ = static_cast<std::size_t>(max_id - min_id + 1);
+  crossing_gap_of_net_.assign(static_cast<std::size_t>(rows) * id_span_, -1);
+
+  // Bump row of the net on each finger, looked up once for every row.
+  std::vector<int> row_of_finger(fingers);
+  for (std::size_t a = 0; a < fingers; ++a) {
+    row_of_finger[a] = quadrant.net_row(assignment.order[a]);
   }
 
-  // Crossing x of each net on the line above the one being processed;
-  // initialised from the finger positions (nets descend from the fingers).
-  std::vector<double> prev_x(id_span, 0.0);
-  for (int a = 0; a < assignment.size(); ++a) {
-    prev_x[static_cast<std::size_t>(
-        assignment.order[static_cast<std::size_t>(a)] - min_id)] =
-        quadrant.finger_position(a).x;
+  // Nearest only: each finger's crossing x on the line above the one being
+  // processed (initially the finger itself; nets descend from the
+  // fingers), and the gap centres of the current row.
+  const bool nearest = strategy == CrossingStrategy::Nearest;
+  std::vector<double> prev_x;
+  std::vector<double> center;
+  if (nearest) {
+    prev_x.resize(fingers);
+    for (std::size_t a = 0; a < fingers; ++a) {
+      prev_x[a] = quadrant.finger_position(static_cast<int>(a)).x;
+    }
   }
+
+  // Fingers of the crossing nets that share the current window.
+  std::vector<int> window_fingers;
+  window_fingers.reserve(fingers);
 
   for (int r = rows - 1; r >= 0; --r) {
     const int m = quadrant.bumps_in_row(r);
     const int gaps = quadrant.gaps_in_row(r);  // m + 2
     auto& counts = gap_counts_[static_cast<std::size_t>(r)];
     counts.assign(static_cast<std::size_t>(gaps), 0);
-    auto& cross = crossing_gap_of_net_[static_cast<std::size_t>(r)];
-    cross.assign(id_span, -1);
-
-    // Finger slots of this row's terminating nets, ascending (legality).
-    std::vector<int> term_fingers;
-    term_fingers.reserve(static_cast<std::size_t>(m));
-    for (const NetId net : quadrant.row_nets(r)) {
-      term_fingers.push_back(
-          finger_of[static_cast<std::size_t>(net - min_id)]);
-    }
-
-    // Crossing nets in finger order, with their forced gap window.
-    // t = number of terminators on fingers left of the crosser; the
-    // crosser must pass between the via slot of terminator t-1 and that of
-    // terminator t. Under the default bottom-left plan that forces a
-    // single gap everywhere except right of the last terminator; shifted
-    // via plans open wider windows elsewhere.
+    int* const cross =
+        crossing_gap_of_net_.data() + static_cast<std::size_t>(r) * id_span_;
     const auto& via_slots = plan.rows[static_cast<std::size_t>(r)].slot_of_bump;
-    struct Crosser {
-      NetId net;
-      int t;
-    };
-    std::vector<Crosser> crossers;
-    for (int a = 0; a < assignment.size(); ++a) {
-      const NetId net = assignment.order[static_cast<std::size_t>(a)];
-      if (quadrant.net_row(net) >= r) continue;  // terminates here or deeper
-      const auto it =
-          std::upper_bound(term_fingers.begin(), term_fingers.end(), a);
-      crossers.push_back({net, static_cast<int>(it - term_fingers.begin())});
+    if (nearest) {
+      center.resize(static_cast<std::size_t>(gaps));
+      for (int g = 0; g < gaps; ++g) {
+        center[static_cast<std::size_t>(g)] = gap_center_x(quadrant, r, g);
+      }
     }
 
-    // Group consecutive crossers sharing a window and distribute.
-    std::size_t i = 0;
-    while (i < crossers.size()) {
-      std::size_t j = i;
-      while (j < crossers.size() && crossers[j].t == crossers[i].t) ++j;
-      const int t = crossers[i].t;
+    // Spreads the crossers of window t (those with t terminators on
+    // fingers to their left) over the gaps between the via slot of
+    // terminator t-1 and that of terminator t. Under the default
+    // bottom-left plan that is a single gap everywhere except right of
+    // the last terminator; shifted via plans open wider windows elsewhere.
+    const auto place_window = [&](int t) {
+      const auto k = static_cast<int>(window_fingers.size());
+      if (k == 0) return;
       const int lo =
           t == 0 ? 0 : via_slots[static_cast<std::size_t>(t - 1)] + 1;
       const int hi =
           (t == m) ? m + 1 : via_slots[static_cast<std::size_t>(t)];
       const int window = hi - lo + 1;
-      const auto k = static_cast<int>(j - i);
       int prev_gap = lo;
       for (int u = 0; u < k; ++u) {
-        const NetId net = crossers[i + static_cast<std::size_t>(u)].net;
+        const auto a = static_cast<std::size_t>(
+            window_fingers[static_cast<std::size_t>(u)]);
         int gap = lo;
         if (window > 1) {
-          if (strategy == CrossingStrategy::Balanced) {
+          if (!nearest) {
             gap = lo + (u * window) / k;
           } else {  // Nearest: pick the window gap closest to the descent x,
                     // never stepping left of an earlier same-window net.
             double best = std::numeric_limits<double>::max();
-            const double from =
-                prev_x[static_cast<std::size_t>(net - min_id)];
             for (int g = prev_gap; g <= hi; ++g) {
-              const double d = std::abs(gap_center_x(quadrant, r, g) - from);
+              const double d =
+                  std::abs(center[static_cast<std::size_t>(g)] - prev_x[a]);
               if (d < best) {
                 best = d;
                 gap = g;
@@ -143,12 +133,26 @@ DensityMap::DensityMap(const Quadrant& quadrant,
           }
         }
         ++counts[static_cast<std::size_t>(gap)];
-        cross[static_cast<std::size_t>(net - min_id)] = gap;
-        prev_x[static_cast<std::size_t>(net - min_id)] =
-            gap_center_x(quadrant, r, gap);
+        cross[static_cast<std::size_t>(assignment.order[a] - min_id)] = gap;
+        if (nearest) prev_x[a] = center[static_cast<std::size_t>(gap)];
       }
-      i = j;
+      window_fingers.clear();
+    };
+
+    // One scan in finger order: a cursor t counts the row's terminating
+    // nets passed so far (legality puts them in bump order), so every
+    // crosser's window is known without a search.
+    int t = 0;
+    for (std::size_t a = 0; a < fingers; ++a) {
+      const int row = row_of_finger[a];
+      if (row == r) {
+        place_window(t);
+        ++t;
+      } else if (row < r) {
+        window_fingers.push_back(static_cast<int>(a));
+      }
     }
+    place_window(t);
   }
 }
 
@@ -186,11 +190,11 @@ long long DensityMap::total_crossings() const {
 
 int DensityMap::crossing_gap(NetId net, int row) const {
   require(row >= 0 && row < row_count(), "DensityMap: row out of range");
-  const auto& cross = crossing_gap_of_net_[static_cast<std::size_t>(row)];
   const std::size_t slot = static_cast<std::size_t>(net - min_id_);
-  require(net >= min_id_ && slot < cross.size(),
+  require(net >= min_id_ && slot < id_span_,
           "DensityMap: net outside quadrant");
-  return cross[slot];
+  return crossing_gap_of_net_[static_cast<std::size_t>(row) * id_span_ +
+                              slot];
 }
 
 }  // namespace fp

@@ -15,8 +15,14 @@
 //     iterative-improvement router converges to; the default).
 //   * Nearest  -- each net takes the window gap nearest its descent from the
 //     previous line (a greedy one-pass router; used by the ablation bench).
+//
+// Cost: O(rows * n) per quadrant of n fingers. Every row is one scan of
+// the finger order with a cursor over the row's terminating nets (legality
+// keeps them in bump order), so each crossing net learns its window
+// without a search; the per-net storage is one rows x n table.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "package/assignment.h"
@@ -68,9 +74,10 @@ class DensityMap {
 
  private:
   const Quadrant* quadrant_;
-  std::vector<std::vector<int>> gap_counts_;           // [row][gap]
-  std::vector<std::vector<int>> crossing_gap_of_net_;  // [row][net-min_id]
+  std::vector<std::vector<int>> gap_counts_;  // [row][gap]
+  std::vector<int> crossing_gap_of_net_;      // [row * id_span_ + net-min_id]
   NetId min_id_ = 0;
+  std::size_t id_span_ = 0;
 };
 
 }  // namespace fp

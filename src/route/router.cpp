@@ -7,29 +7,6 @@
 namespace fp {
 namespace {
 
-/// Horizontal extent [lo, hi] of a gap on `row` (end gaps extend half a
-/// pitch beyond the outer slots).
-std::pair<double, double> gap_bounds(const Quadrant& q, int row, int gap) {
-  const int slots = q.via_slots_in_row(row);
-  const double pitch = q.geometry().bump_space_um;
-  const double lo = gap == 0
-                        ? q.via_slot_position(row, 0).x - pitch
-                        : q.via_slot_position(row, gap - 1).x;
-  const double hi = gap >= slots
-                        ? q.via_slot_position(row, slots - 1).x + pitch
-                        : q.via_slot_position(row, gap).x;
-  return {lo, hi};
-}
-
-/// Track position of the `index`-th of `count` wires sharing a gap: wires
-/// spread evenly across the gap in finger order, keeping layer-1 paths
-/// crossing-free and giving the Fig.-15 plots their fan-out look.
-double track_x(const Quadrant& q, int row, int gap, int index, int count) {
-  const auto [lo, hi] = gap_bounds(q, row, gap);
-  return lo + (hi - lo) * (static_cast<double>(index) + 1.0) /
-                  (static_cast<double>(count) + 1.0);
-}
-
 double polyline_length(const std::vector<Point>& path) {
   double total = 0.0;
   for (std::size_t i = 1; i < path.size(); ++i) {
@@ -52,33 +29,61 @@ QuadrantRoute MonotonicRouter::route(const Quadrant& quadrant,
 
   // Track assignment: per row, wires sharing a gap take evenly spread
   // positions in finger order, so the emitted layer-1 polylines never
-  // cross. crossing_x[row][finger] is the wire's x when crossing `row`.
+  // cross and the Fig.-15 plots get their fan-out look. Gap g spans
+  // [gap_lo[g], gap_hi[g]] (end gaps extend a pitch beyond the outer
+  // slots). crossing_x[row * n + finger] is the wire's x when crossing
+  // `row`; line_y[row] is the via-slot level of that line.
   const int rows = quadrant.row_count();
-  std::vector<std::vector<double>> crossing_x(
-      static_cast<std::size_t>(rows),
-      std::vector<double>(static_cast<std::size_t>(assignment.size()), 0.0));
+  const auto fingers = static_cast<std::size_t>(assignment.size());
+  const double pitch = quadrant.geometry().bump_space_um;
+  std::vector<int> row_of_finger(fingers);
+  for (std::size_t a = 0; a < fingers; ++a) {
+    row_of_finger[a] = quadrant.net_row(assignment.order[a]);
+  }
+  std::vector<double> crossing_x(static_cast<std::size_t>(rows) * fingers,
+                                 0.0);
+  std::vector<double> line_y(static_cast<std::size_t>(rows));
+  std::vector<double> gap_lo;
+  std::vector<double> gap_hi;
+  std::vector<int> cursor;
   for (int r = 0; r < rows; ++r) {
-    std::vector<int> cursor(
-        static_cast<std::size_t>(quadrant.gaps_in_row(r)), 0);
-    for (int a = 0; a < assignment.size(); ++a) {
-      const NetId net = assignment.order[static_cast<std::size_t>(a)];
-      if (quadrant.net_row(net) >= r) continue;
-      const int gap = density.crossing_gap(net, r);
+    const int slots = quadrant.via_slots_in_row(r);
+    const auto gaps = static_cast<std::size_t>(quadrant.gaps_in_row(r));
+    gap_lo.resize(gaps);
+    gap_hi.resize(gaps);
+    for (int g = 0; g < static_cast<int>(gaps); ++g) {
+      gap_lo[static_cast<std::size_t>(g)] =
+          g == 0 ? quadrant.via_slot_position(r, 0).x - pitch
+                 : quadrant.via_slot_position(r, g - 1).x;
+      gap_hi[static_cast<std::size_t>(g)] =
+          g >= slots ? quadrant.via_slot_position(r, slots - 1).x + pitch
+                     : quadrant.via_slot_position(r, g).x;
+    }
+    line_y[static_cast<std::size_t>(r)] = quadrant.via_slot_position(r, 0).y;
+    cursor.assign(gaps, 0);
+    const std::vector<int>& counts = density.row_densities(r);
+    double* const row_x = crossing_x.data() + static_cast<std::size_t>(r) *
+                                                  fingers;
+    for (std::size_t a = 0; a < fingers; ++a) {
+      if (row_of_finger[a] >= r) continue;
+      const int gap = density.crossing_gap(assignment.order[a], r);
       ensure(gap >= 0, "MonotonicRouter: missing crossing gap");
-      const int index = cursor[static_cast<std::size_t>(gap)]++;
-      crossing_x[static_cast<std::size_t>(r)][static_cast<std::size_t>(a)] =
-          track_x(quadrant, r, gap, index, density.gap_density(r, gap));
+      const auto g = static_cast<std::size_t>(gap);
+      const int index = cursor[g]++;
+      row_x[a] = gap_lo[g] + (gap_hi[g] - gap_lo[g]) *
+                                 (static_cast<double>(index) + 1.0) /
+                                 (static_cast<double>(counts[g]) + 1.0);
     }
   }
 
   QuadrantRoute result;
-  result.nets.reserve(static_cast<std::size_t>(assignment.size()));
+  result.nets.reserve(fingers);
 
-  for (int a = 0; a < assignment.size(); ++a) {
-    const NetId net = assignment.order[static_cast<std::size_t>(a)];
-    const int bump_row = quadrant.net_row(net);
+  for (std::size_t a = 0; a < fingers; ++a) {
+    const NetId net = assignment.order[a];
+    const int bump_row = row_of_finger[a];
     const int bump_col = quadrant.net_col(net);
-    const Point finger = quadrant.finger_position(a);
+    const Point finger = quadrant.finger_position(static_cast<int>(a));
     const Point via = quadrant.via_slot_position(
         bump_row, plan.rows[static_cast<std::size_t>(bump_row)]
                       .slot_of_bump[static_cast<std::size_t>(bump_col)]);
@@ -86,7 +91,9 @@ QuadrantRoute MonotonicRouter::route(const Quadrant& quadrant,
 
     RoutedNet routed;
     routed.net = net;
-    routed.finger = a;
+    routed.finger = static_cast<int>(a);
+    routed.path.reserve(
+        static_cast<std::size_t>(quadrant.top_row() - bump_row + 3));
     routed.path.push_back(finger);
     // Crossing points sit at the via-slot level of each line (half a pitch
     // below the bump centres) -- that is where the gaps are physically
@@ -94,9 +101,8 @@ QuadrantRoute MonotonicRouter::route(const Quadrant& quadrant,
     // track, terminators at their slots), so consecutive-level segments
     // can never cross and the terminating via is simply the last level.
     for (int r = quadrant.top_row(); r > bump_row; --r) {
-      routed.path.push_back(Point{
-          crossing_x[static_cast<std::size_t>(r)][static_cast<std::size_t>(a)],
-          quadrant.via_slot_position(r, 0).y});
+      const auto row = static_cast<std::size_t>(r);
+      routed.path.push_back(Point{crossing_x[row * fingers + a], line_y[row]});
     }
     routed.path.push_back(via);
     routed.path.push_back(bump);

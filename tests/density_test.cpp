@@ -1,16 +1,20 @@
 // Tests of the congestion estimator. The paper's Fig. 5 publishes exact
 // max-density numbers for three finger orders of the same circuit (random
 // order -> 4, IFA order -> 2, DFA order -> 2); these are locked here, plus
-// conservation and monotonicity properties on generated circuits.
+// conservation and monotonicity properties on generated circuits, and
+// identity with the binary-search map the one-pass scan replaced.
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "assign/dfa.h"
 #include "assign/ifa.h"
 #include "assign/random_assigner.h"
+#include "density_oracle.h"
 #include "package/circuit_generator.h"
 #include "route/density.h"
+#include "util/rng.h"
 
 namespace fp {
 namespace {
@@ -189,6 +193,86 @@ TEST(Density, SingleRowQuadrantHasZeroDensity) {
   const DensityMap d(q, order_of({0, 1, 2, 3}));
   EXPECT_EQ(d.max_density(), 0);
   EXPECT_EQ(d.total_crossings(), 0);
+}
+
+// ------------------------------------------------------ oracle identity ----
+//
+// DensityMap against the binary-search map of tests/density_oracle.h on
+// random legal orders (plus the DFA and IFA orders), under both crossing
+// strategies, the bottom-left via plan and random suffix-shift plans:
+// every gap count of every row and the crossing gap of every (net, row)
+// must be identical.
+
+/// A random suffix-shift pivot per row; shifted rows open a two-gap window.
+QuadrantViaPlan random_plan(const Quadrant& q, Rng& rng) {
+  QuadrantViaPlan plan;
+  for (int r = 0; r < q.row_count(); ++r) {
+    const int m = q.bumps_in_row(r);
+    plan.rows.push_back(QuadrantViaPlan::suffix_shift(
+        m, static_cast<int>(rng.index(static_cast<std::size_t>(m) + 1))));
+  }
+  return plan;
+}
+
+void expect_matches_oracle(const Quadrant& q, const QuadrantAssignment& a,
+                           const QuadrantViaPlan& plan,
+                           CrossingStrategy strategy) {
+  const DensityMap map(q, a, plan, strategy);
+  const oracle::DensityOracle expected =
+      oracle::density_map(q, a, plan, strategy);
+  ASSERT_EQ(map.row_count(), q.row_count());
+  for (int r = 0; r < q.row_count(); ++r) {
+    ASSERT_EQ(map.row_densities(r),
+              expected.gap_counts[static_cast<std::size_t>(r)])
+        << "row " << r;
+    for (const NetId net : a.order) {
+      ASSERT_EQ(map.crossing_gap(net, r), expected.crossing_gap(net, r))
+          << "net " << net << ", row " << r;
+    }
+  }
+}
+
+TEST(DensityOracle, OnePassScanMatchesBinarySearchMap) {
+  struct Shape {
+    int circuit;
+    int fingers;  // 0 = as published
+    int rows;     // 0 = as published
+  };
+  constexpr Shape kShapes[] = {{0, 0, 0},   {1, 0, 0},   {2, 0, 0},
+                               {3, 0, 0},   {4, 0, 0},   {1, 160, 6},
+                               {4, 384, 8}, {2, 96, 2}};
+  Rng plan_rng(2024);
+  int cases = 0;
+  for (const Shape& shape : kShapes) {
+    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+      CircuitSpec spec = CircuitGenerator::table1(shape.circuit);
+      if (shape.fingers > 0) spec.finger_count = shape.fingers;
+      if (shape.rows > 0) spec.rows_per_quadrant = shape.rows;
+      spec.seed = seed;
+      const Package package = CircuitGenerator::generate(spec);
+      for (const Quadrant& q : package.quadrants()) {
+        const QuadrantAssignment orders[] = {
+            RandomAssigner(seed).assign(q),
+            RandomAssigner(seed + 100).assign(q), DfaAssigner().assign(q),
+            IfaAssigner().assign(q)};
+        for (const QuadrantAssignment& a : orders) {
+          const QuadrantViaPlan plans[] = {QuadrantViaPlan::bottom_left(q),
+                                           random_plan(q, plan_rng),
+                                           random_plan(q, plan_rng)};
+          for (const QuadrantViaPlan& plan : plans) {
+            for (const CrossingStrategy strategy :
+                 {CrossingStrategy::Balanced, CrossingStrategy::Nearest}) {
+              SCOPED_TRACE(spec.name + " seed " + std::to_string(seed) +
+                           " quadrant " + q.name());
+              expect_matches_oracle(q, a, plan, strategy);
+              ++cases;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 8 * 3 * 4 * 4 * 3 * 2);
 }
 
 }  // namespace
